@@ -53,9 +53,6 @@ class ExpArc:
     def end_value(self) -> float:
         return self.value(self.t_end)
 
-    def slope(self, t: float) -> float:
-        return -self.k * math.exp(-(t - self.t_start))
-
     @property
     def rising(self) -> bool:
         return self.k < 0
@@ -253,10 +250,6 @@ class History:
                     out.append((arc.t_end, b))
         return out
 
-    def final_branch(self, thresholds: tuple[float, ...] = (0.0,)) -> int:
-        markers = self.branch_markers(thresholds)
-        return markers[-1][1] if markers else self.initial_branch(thresholds)
-
     def zeros(self) -> list[float]:
         """All zeros of the history in (-tau, 0], crossings and touches alike."""
         zs: list[float] = []
@@ -290,7 +283,3 @@ class History:
         if value == 0.0:
             raise IdenticallyZeroHistory("constant-zero history is not in Z")
         return History((ExpArc(-tau, 0.0, value, 0.0),))
-
-    @staticmethod
-    def from_arcs(arcs: Iterable[ExpArc]) -> "History":
-        return History(tuple(arcs))

@@ -7,8 +7,10 @@ feedback switches one delay later; steps containing a switch or a pulse edge
 are split there. This module shares no arc algebra with the exact engine --
 histories enter only as callables to be sampled.
 
-Chunks of at most one delay length are dispatched to the stepping kernels in
-``_kernels`` (numba loop or vectorized numpy fallback, see there).
+Chunks of at most one delay length are filled by ``_chunk_numpy``. Between
+feedback switches and pulse edges the forcing F is constant, and the
+classical RK4 update for x' = -x + F is the affine map x -> F + (x - F)*A(h)
+with A(h) = 1 - h + h^2/2 - h^3/6 + h^4/24.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .exceptions import MismatchedExperiment, StepTooLarge
 from .params import ModelParams
 
@@ -41,13 +42,52 @@ class DenseTrajectory:
     zeros: np.ndarray       # refined crossing times with t > 0
     zero_dirs: np.ndarray   # +1 upward, -1 downward
 
-    def value_at(self, t: float) -> float:
-        return float(np.interp(t, self.t, self.x))
-
     def csv_rows(self, n: int):
         """(t, x) rows at the requested resolution, same schema as the engine."""
         ts = np.linspace(self.t[0], self.t[-1], n)
         return zip(ts.tolist(), np.interp(ts, self.t, self.x).tolist())
+
+
+def _rk4_a(h: float) -> float:
+    return 1.0 + h * (-1.0 + h * (0.5 + h * (-1.0 / 6.0 + h / 24.0)))
+
+
+def _chunk_numpy(xs: np.ndarray, j0: int, j1: int, t0: float, h: float,
+                 bounds: np.ndarray, levels: np.ndarray,
+                 bvals: np.ndarray) -> None:
+    """Fill xs[j0+1 .. j1] given run boundaries; record values at boundaries.
+
+    Within a run the forcing F is constant, so m whole steps collapse to
+    x_m = F + (x_0 - F) * A^m; only the partial steps at run edges need
+    scalar work.
+    """
+    x = float(xs[j0])
+    bvals[0] = x
+    a_full = _rk4_a(h)
+    eps = 1e-9 * h
+    for r in range(levels.size):
+        lo, hi, f = float(bounds[r]), float(bounds[r + 1]), float(levels[r])
+        first = int(np.ceil((lo - t0) / h - 1e-9))          # first grid idx > lo
+        if t0 + first * h <= lo + eps:
+            first += 1
+        last = int(np.floor((hi - t0) / h + 1e-9))          # last grid idx <= hi
+        t_cur = lo
+        if first <= last and first <= j1:
+            last = min(last, j1)
+            dt = (t0 + first * h) - t_cur
+            if dt > eps:
+                x = f + (x - f) * _rk4_a(dt)
+            xs[first] = x
+            m = last - first
+            if m > 0:
+                vals = f + (x - f) * np.power(a_full, np.arange(1, m + 1))
+                xs[first + 1:last + 1] = vals
+                x = float(vals[-1])
+            t_cur = t0 + last * h
+        dt = hi - t_cur
+        if dt > eps:
+            x = f + (x - f) * _rk4_a(dt)
+        bvals[r + 1] = x
 
 
 def _bisect_interp(t0: float, x0: float, t1: float, x1: float) -> float:
@@ -85,7 +125,7 @@ def _scan_crossings(times: Sequence[float], vals: Sequence[float]) -> list[tuple
 
 def integrate_dense(params: ModelParams, history,
                     horizon: float, pulse: Optional[OraclePulse] = None,
-                    h: float = 1e-4, backend: Optional[str] = None) -> DenseTrajectory:
+                    h: float = 1e-4) -> DenseTrajectory:
     """Integrate the two-level model densely; see the module docstring.
 
     ``history`` is a callable t -> x on [-tau, 0] (anything exposing a
@@ -95,7 +135,6 @@ def integrate_dense(params: ModelParams, history,
     tau, bl, bu = params.tau, params.beta_l, params.beta_u
     if h > tau / 100:
         raise StepTooLarge(f"h = {h} must be <= tau/100 = {tau / 100}")
-    backend = backend or _kernels.BACKEND
 
     i0 = int(round(tau / h))
     h = tau / i0
@@ -152,7 +191,7 @@ def integrate_dense(params: ModelParams, history,
                     lvl += pulse.a
             levels[r] = lvl
         bvals = np.empty(bounds.size)
-        _kernels.chunk_fill(backend, xs, j, j_end, t0, h, bounds, levels, bvals)
+        _chunk_numpy(xs, j, j_end, t0, h, bounds, levels, bvals)
 
         # scan for new crossings over grid + boundary points of this chunk
         pts_t = np.concatenate([tgrid[j:j_end + 1], bounds])

@@ -60,10 +60,6 @@ class PeriodicOrbit:
     def t_max(self) -> float:
         return self.z1 + self.params.tau
 
-    @property
-    def t_min(self) -> float:
-        return 0.0
-
     def value(self, t: float) -> float:
         """x~ at any time (reduced mod the period into [-tau, z2 + tau))."""
         tau = self.params.tau

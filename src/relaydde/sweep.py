@@ -131,9 +131,12 @@ def case_sequence(params: ModelParams, a: float, sigma: float) -> list[CaseInter
         add(CaseCode.FNFN, min(max(d2, z2), T - sigma), T - sigma, False, False)
     else:
         add(CaseCode.FNFN, z2, T - sigma, False, False)
-    add(CaseCode.FNRN, T - sigma, min(T, T + d1), True, False)
-    if d1 < 0:
-        add(CaseCode.FNRP, T + d1, T, True, False)
+    # with sigma == tau, T - sigma is z2, which belongs to the FP cases
+    lo_r = max(T - sigma, z2)
+    add(CaseCode.FNRN, lo_r, min(T, T + d1), lo_r > z2, False)
+    if d1 < 0:   # d1 < -sigma only in relaxed mode; clamp to keep the partition
+        lo = max(T + d1, lo_r)
+        add(CaseCode.FNRP, lo, T, lo > z2, False)
     return iv
 
 

@@ -6,6 +6,7 @@ import pytest
 from relaydde import (ExpArc, History, MismatchedExperiment, ModelParams,
                       OraclePulse, StepTooLarge, Trajectory, compare, evolve,
                       integrate_dense, periodic_solution)
+from relaydde.oracle import _rk4_a
 
 import _expected as exp
 
@@ -126,3 +127,82 @@ def test_relaxed_mode_comparison_reported():
         rep = compare(traj, dense)
         assert rep.max_abs_dev <= 1e-5
         assert isinstance(rep.zero_counts_match, bool)   # reported, not asserted
+
+
+def test_affine_step_equals_rk4_stages():
+    # the collapsed update A*x + (1-A)*F is the exact stage-form RK4 result
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        x = float(rng.normal())
+        f = float(rng.normal())
+        h = float(rng.uniform(1e-5, 1e-2))
+        k1 = f - x
+        k2 = f - (x + 0.5 * h * k1)
+        k3 = f - (x + 0.5 * h * k2)
+        k4 = f - (x + h * k3)
+        staged = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        affine = f + (x - f) * _rk4_a(h)
+        assert abs(staged - affine) <= 1e-14 * max(1.0, abs(staged))
+
+
+def _rk4_stage_loop(params, hist, dense, pulse=None):
+    """Literal stage-by-stage RK4 on the grid of ``dense``.
+
+    Steps are split at the feedback switches (history crossings and
+    ``dense.zeros``, one delay later) and at the pulse edges, so only the
+    run-collapsed stepping of ``integrate_dense`` is under test.
+    """
+    tau, h, t = params.tau, dense.h, dense.t
+    i0 = int(round(tau / h))
+    xs = np.empty(t.size)
+    xs[:i0 + 1] = [hist(s) for s in t[:i0 + 1]]
+    switches = [z + tau for z in dense.zeros]
+    for i in range(i0):
+        x0, x1 = xs[i], xs[i + 1]
+        if (x0 < 0) != (x1 < 0):
+            switches.append(t[i] - x0 * (t[i + 1] - t[i]) / (x1 - x0) + tau)
+    switches.sort()
+    edges = [pulse.t_on, pulse.t_off] if pulse is not None else []
+    cuts = sorted(switches + edges)
+
+    def forcing(lo, hi):
+        flips = sum(1 for s in switches if s <= lo + 1e-12)
+        neg = (xs[0] < 0) != (flips % 2 == 1)
+        f = params.beta_l if neg else -params.beta_u
+        if pulse is not None and pulse.t_on <= 0.5 * (lo + hi) <= pulse.t_off:
+            f += pulse.a
+        return f
+
+    def stage(x, f, dt):
+        k1 = f - x
+        k2 = f - (x + 0.5 * dt * k1)
+        k3 = f - (x + 0.5 * dt * k2)
+        k4 = f - (x + dt * k3)
+        return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    eps = 1e-9 * h
+    x, c = xs[i0], 0
+    for j in range(i0, t.size - 1):
+        t_cur, s_end = t[j], t[j + 1]
+        while c < len(cuts) and cuts[c] <= s_end - eps:
+            if cuts[c] - t_cur > eps:
+                x = stage(x, forcing(t_cur, cuts[c]), cuts[c] - t_cur)
+                t_cur = cuts[c]
+            c += 1
+        if s_end - t_cur > eps:
+            x = stage(x, forcing(t_cur, s_end), s_end - t_cur)
+        xs[j + 1] = x
+    return xs
+
+
+@pytest.mark.parametrize("pulse", [None, OraclePulse(0.2, 1.0, 1.4)],
+                         ids=["plain", "pulsed"])
+def test_run_collapse_matches_stage_loop(p1, orb1, pulse):
+    hist = orb1.history_min_phase()
+    horizon = 2 * orb1.period if pulse is None else orb1.period + 2.0
+    h = 1e-4 if pulse is None else 2e-4
+    dense = integrate_dense(p1, hist.value, horizon, pulse=pulse, h=h)
+    ref = _rk4_stage_loop(p1, hist.value, dense, pulse)
+    assert float(np.max(np.abs(ref - dense.x))) <= 1e-9
+    ref_pos = ref[dense.t > 0]
+    assert int(np.count_nonzero((ref_pos[:-1] < 0) != (ref_pos[1:] < 0))) == dense.zeros.size

@@ -74,6 +74,22 @@ def test_partition_covers_domain(p1, orb1):
         assert owner[0].code is code
 
 
+@pytest.mark.parametrize("a, sigma", [(0.2, 0.4), (0.79, 1.0), (2.0, 0.5), (8.0, 1.0)])
+@pytest.mark.parametrize("preset", ["p1", "p2"])
+def test_partition_owns_each_onset_once(request, preset, a, sigma):
+    # a >= beta_U can put T + delta1 below T - sigma, and sigma = tau puts
+    # T - sigma on z2: neither may give an onset two intervals
+    params = request.getfixturevalue(preset)
+    period = periodic_solution(params).period
+    ivs = case_sequence(params, a, sigma)
+    ends = {e for iv in ivs for e in (iv.lo, iv.hi) if e < period}
+    for d in [period * i / 4096 for i in range(4096)] + sorted(ends):
+        owner = [iv for iv in ivs if iv.contains(d)]
+        assert len(owner) == 1, (d, [iv.code.value for iv in owner])
+        code = classify(params, PulseSpec(a, d, sigma, relaxed=True)).code
+        assert owner[0].code is code, d
+
+
 def test_threshold_equivalences_random():
     rng = np.random.default_rng(19)
     for _ in range(100):
