@@ -16,9 +16,9 @@ from .orbit import (MergeInfo, MergePhase, PeriodicOrbit, merge_time,
                     merge_window, periodic_solution)
 from .params import (ModelParams, PulseSpec, RawParams, Regime, check_pulse,
                      equilibrium, nondimensionalize, regime)
-from .pulse import (Case, CaseCode, CycleStats, Thresholds, case_cycle_length,
-                    classify, pulsed_trajectory, response_closed_form,
-                    response_simulated, thresholds)
+from .pulse import (Case, CaseCode, CycleStats, PulseContext, Responses, Thresholds,
+                    case_cycle_length, classify, pulsed_trajectory,
+                    response_closed_form, response_simulated, thresholds)
 from .sweep import (CaseInterval, MonotonicityReport, SweepTable, case_sequence,
                     cycle_length_map, monotonicity_report)
 from .therapy import (TherapyChecks, TherapyInput, TherapyOutcome, TherapyPlan,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -41,9 +42,6 @@ class ExpArc:
 
     def value(self, t: float) -> float:
         return self.c + self.k * math.exp(-(t - self.t_start))
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        return self.c + self.k * np.exp(-(t - self.t_start))
 
     @property
     def start_value(self) -> float:
@@ -108,21 +106,33 @@ def chain_value(arcs: Iterable[ExpArc], t: float) -> float:
     raise ValidationError("chain_domain", f"t = {t} outside chain span")
 
 
-def chain_values(arcs: Iterable[ExpArc], times: np.ndarray) -> np.ndarray:
-    """Vectorized chain evaluation at sorted times."""
-    seq = list(arcs)
-    starts = np.array([a.t_start for a in seq])
-    lo, hi = seq[0].t_start, seq[-1].t_end
+def chain_arrays(arcs: Iterable[ExpArc]) -> np.ndarray:
+    """Rows t_start, t_end, c, k of an ordered arc chain, read-only."""
+    table = np.array([(a.t_start, a.t_end, a.c, a.k) for a in arcs]).T.copy()
+    table.flags.writeable = False
+    return table
+
+
+def chain_values(chain: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation at sorted times of a chain given by chain_arrays().
+
+    A time on a breakpoint takes the later arc's value.
+    """
+    t_start, t_end, c, k = chain
+    lo, hi = t_start[0], t_end[-1]
     t = np.asarray(times, dtype=float)
     if t.size and (t[0] < lo - _tie(lo) or t[-1] > hi + _tie(hi)):
         raise ValidationError("chain_domain", "sample times outside chain span")
-    idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(seq) - 1)
-    out = np.empty_like(t)
-    for i, arc in enumerate(seq):
-        m = idx == i
-        if m.any():
-            out[m] = arc.values(t[m])
-    return out
+    idx = np.searchsorted(t_start, t, side="right")
+    idx -= 1
+    np.clip(idx, 0, t_start.size - 1, out=idx)
+    # c + k * exp(-(t - t_start)), in place: sample grids can be 10^6 points
+    x = t - t_start[idx]
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x *= k[idx]
+    x += c[idx]
+    return x
 
 
 def chains_equal(a: Iterable[ExpArc], b: Iterable[ExpArc],
@@ -208,8 +218,13 @@ class History:
     def value(self, t: float) -> float:
         return chain_value(self.arcs, t)
 
+    @cached_property
+    def chain(self) -> np.ndarray:
+        """The arcs as chain_arrays() rows."""
+        return chain_arrays(self.arcs)
+
     def values(self, times: np.ndarray) -> np.ndarray:
-        return chain_values(self.arcs, times)
+        return chain_values(self.chain, times)
 
     def initial_sign(self) -> int:
         """Sign of the history immediately after -tau (for the delayed branch)."""

@@ -9,6 +9,7 @@ exactly and output is byte-identical for identical flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -299,8 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() reuses: building one costs milliseconds, and
+    parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -20,11 +20,12 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .arcs import ExpArc, History, _branch_after, _tie, chain_values
+from .arcs import ExpArc, History, _branch_after, _tie, chain_arrays, chain_values
 from .exceptions import ValidationError
 from .params import ModelParams
 
@@ -100,8 +101,13 @@ class Trajectory:
         if neg.any():
             out[neg] = self.history.values(t[neg])
         if (~neg).any():
-            out[~neg] = chain_values(self.arcs, t[~neg])
+            out[~neg] = chain_values(self.chain, t[~neg])
         return out
+
+    @cached_property
+    def chain(self) -> np.ndarray:
+        """The arcs on [0, horizon] as chain_arrays() rows."""
+        return chain_arrays(self.arcs)
 
     def segment_at(self, t: float) -> History:
         """The state x_t as a history on [-tau, 0] (shifted arc chain)."""

@@ -8,8 +8,11 @@ Each case has a closed-form cycle length and closed-form extrema; the same
 quantities are also measured from an event-driven simulation, which is the
 route of record when the standing hypothesis a < beta_U fails.
 
-All case formulas evaluate exponentials of bounded time differences
-(exp-space zero identities), finishing with a single logarithm.
+The response is a function of the onset: a PulseContext holds what depends
+only on (params, a, sigma) -- the orbit and the thresholds -- and classifies
+and evaluates whole arrays of onsets. The scalar entry points are its
+length-1 views. All case formulas evaluate exponentials of bounded time
+differences (exp-space zero identities), finishing with a single logarithm.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .engine import PulseWindow, Trajectory, evolve
 from .exceptions import (OutOfDomainError, RegimeError, StandingHypothesisViolated,
@@ -42,11 +47,24 @@ class CaseCode(enum.Enum):
     FNRP = "FNRP"
 
 
+#: the case codes in onset order; PulseContext arrays hold indices into it
+CODES = tuple(CaseCode)
+_IX = {code: i for i, code in enumerate(CODES)}
+
+
 @dataclass(frozen=True)
 class Case:
     code: CaseCode
     #: RNRP splits at delta1_hat into RNRP1 (offset value <= beta_L) / RNRP2
     sub: Optional[str] = None
+
+    @staticmethod
+    def of(code: int, rnrp2: bool) -> "Case":
+        """The case of one PulseContext.classify entry."""
+        c = CODES[code]
+        if c is CaseCode.RNRP:
+            return Case(c, "RNRP2" if rnrp2 else "RNRP1")
+        return Case(c)
 
 
 @dataclass(frozen=True)
@@ -79,6 +97,31 @@ class CycleStats:
                 "xmax": self.x_max, "J": self.J, "zeros": list(self.zeros)}
 
 
+@dataclass(frozen=True, eq=False)
+class Responses:
+    """Closed-form response over an array of onsets, one entry per onset."""
+
+    code: np.ndarray       # indices into CODES
+    rnrp2: np.ndarray      # RNRP onsets past delta1_hat
+    T: np.ndarray
+    x_min: np.ndarray
+    x_max: np.ndarray
+    J: np.ndarray
+    zeros: np.ndarray      # (3, n): the case's zeros, then nan
+    n_zeros: np.ndarray
+
+    def stats(self, i: int) -> CycleStats:
+        """Onset i as the CycleStats the scalar entry points return."""
+        return CycleStats(Case.of(self.code[i], self.rnrp2[i]), float(self.T[i]),
+                          float(self.x_min[i]), float(self.x_max[i]), int(self.J[i]),
+                          tuple(self.zeros[:self.n_zeros[i], i].tolist()))
+
+
+def _j_delta(orb: PeriodicOrbit, delta):
+    """j_Delta: how many of the orbit zeros z1, z2 lie at or before the onset."""
+    return np.searchsorted((orb.z1, orb.z2), delta, side="right")
+
+
 def _require_oscillatory(params: ModelParams) -> PeriodicOrbit:
     if regime(params) is not Regime.OSCILLATORY:
         raise RegimeError(f"pulse analysis needs the oscillatory regime, "
@@ -86,65 +129,235 @@ def _require_oscillatory(params: ModelParams) -> PeriodicOrbit:
     return periodic_solution(params)
 
 
+class PulseContext:
+    """Orbit and onset thresholds of one (params, a, sigma), computed once.
+
+    Classifies and evaluates arrays of onsets: every case formula is a numpy
+    expression over the onsets of that case, with the onset-free factors
+    evaluated once in scalar math.
+    """
+
+    def __init__(self, params: ModelParams, a: float, sigma: float):
+        if not a > 0:
+            raise ValidationError("amp_positive", f"a = {a} must be > 0")
+        if not 0 < sigma <= params.tau:
+            raise ValidationError("sigma_le_tau", f"need 0 < sigma <= tau, got {sigma}")
+        self.params, self.a, self.sigma = params, a, sigma
+        self.orbit = orb = _require_oscillatory(params)
+        bl, bu, tau = params.beta_l, params.beta_u, params.tau
+        gain = a * -math.expm1(-sigma)            # a(1 - e^-sigma)
+        d1 = orb.z1 - sigma - math.log((bl + gain) / bl)
+        d1_hat = orb.z1 - sigma + math.log(bl / gain)
+        if gain < bu:
+            d2 = orb.z2 - sigma + math.log(bu / (bu - gain))
+        else:
+            d2 = math.inf                          # offset value never negative
+        d_bar = orb.period - math.log(
+            0.5 + math.sqrt(0.25 + a * math.expm1(sigma) * math.exp(tau) / bu))
+        self.thresholds = Thresholds(delta1=d1, delta1_hat=d1_hat, delta2=d2,
+                                     delta_bar=d_bar, delta2_relaxed=not d2 < orb.z2)
+
+    def _onsets(self, deltas) -> np.ndarray:
+        """The onsets as a float array; OutOfDomainError unless all are in [0, T)."""
+        d = np.atleast_1d(np.asarray(deltas, dtype=float))
+        bad = ~((d >= 0) & (d < self.orbit.period))
+        if bad.any():
+            raise OutOfDomainError(f"delta = {float(d[bad][0])} outside "
+                                   f"[0, T = {self.orbit.period})")
+        return d
+
+    def classify(self, deltas) -> tuple[np.ndarray, np.ndarray]:
+        """Case indices into CODES and the RNRP2 flag of each onset.
+
+        Interval endpoints follow the case definitions exactly: [0, delta1) is
+        RNRN when delta1 > 0; [max(0, delta1), z1) RNRP; [z1, tmax - sigma] RPRP;
+        (tmax - sigma, tmax) RPF{P:delta <= delta2, N:else}; [tmax, z2] FPF*;
+        (z2, T - sigma) FNF*; [T - sigma, T) FNR{N:delta < T + delta1, P:else}.
+        The onset t_max itself is in the falling phase.
+        """
+        return self._classify(self._onsets(deltas))
+
+    def _classify(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        orb, th = self.orbit, self.thresholds
+        # the decision tree bottom-up: a later assignment overrides an earlier one
+        code = np.full(d.shape, _IX[CaseCode.FNRP])
+        code[d < orb.period + th.delta1] = _IX[CaseCode.FNRN]
+        fn = d < orb.period - self.sigma
+        code[fn] = _IX[CaseCode.FNFP]
+        code[fn & (d > th.delta2)] = _IX[CaseCode.FNFN]
+        fp = d <= orb.z2
+        code[fp] = _IX[CaseCode.FPFN]
+        code[fp & (d <= th.delta2)] = _IX[CaseCode.FPFP]
+        rising = d < orb.t_max
+        code[rising] = _IX[CaseCode.RPFN]
+        code[rising & (d <= th.delta2)] = _IX[CaseCode.RPFP]
+        code[rising & (d <= orb.t_max - self.sigma)] = _IX[CaseCode.RPRP]
+        early = rising & (d < orb.z1)
+        code[early] = _IX[CaseCode.RNRP]
+        code[early & (d < th.delta1)] = _IX[CaseCode.RNRN]   # so delta1 > d >= 0
+        rnrp2 = (code == _IX[CaseCode.RNRP]) & (d > th.delta1_hat)
+        return code, rnrp2
+
+    def case(self, delta: float) -> Case:
+        code, rnrp2 = self.classify(delta)
+        return Case.of(code[0], rnrp2[0])
+
+    def cycle_length(self, deltas, code: CaseCode) -> np.ndarray:
+        """T(Delta) by the named case's formula, without classifying.
+
+        Adjacent case formulas agree at their shared onset threshold, so any
+        onset may be passed, also T itself (the left limit of the map).
+        """
+        d = np.asarray(deltas, dtype=float)
+        p, orb, a, sigma = self.params, self.orbit, self.a, self.sigma
+        bl, bu, tau = p.beta_l, p.beta_u, p.tau
+        z1, z2, T = orb.z1, orb.z2, orb.period
+        es = a * math.expm1(sigma)
+        if code is CaseCode.RNRN:
+            return T + np.log1p(-es / bl * np.exp(d - z1))
+        if code is CaseCode.RNRP:
+            return T + np.log1p(
+                es / bu * np.exp(d - z2)
+                + a * (bl + bu) * math.exp(tau + z1 - z2) / (bu * (bl + a))
+                * np.expm1(d - z1))
+        if code in (CaseCode.RPRP, CaseCode.RPFP, CaseCode.FPFP):
+            return T + np.log1p(es / bu * np.exp(d - z2))
+        if code in (CaseCode.RPFN, CaseCode.FPFN):
+            return T + np.log1p(
+                -es / bl * np.exp(d - z1 - T)
+                - a * (bl + bu) * math.exp(-z1) / (bl * (bu - a)) * np.expm1(d - z2))
+        if code in (CaseCode.FNFN, CaseCode.FNRN):
+            return T + np.log1p(-es / bl * np.exp(d - z1 - T))
+        if code is CaseCode.FNRP:
+            return T + np.log1p(
+                es / bu * np.exp(d - z2 - T)
+                + a * (bl + bu) * math.exp(tau + z1 - z2) / (bu * (bl + a))
+                * np.expm1(d - z1 - T))
+        raise StandingHypothesisViolated(f"no closed form for case {code.value}")
+
+    def _extrema(self, code: CaseCode, d: np.ndarray, T_d: np.ndarray):
+        """(x_min, x_max, zeros) of one case's onsets; None marks an extremum
+        the pulse leaves unchanged (exactly the orbit's)."""
+        p, orb, a, sigma = self.params, self.orbit, self.a, self.sigma
+        bl, bu, tau = p.beta_l, p.beta_u, p.tau
+        z1, z2, T, t_max = orb.z1, orb.z2, orb.period, orb.t_max
+        x_min, x_max = orb.x_min, orb.x_max
+        es = a * math.expm1(sigma)                 # a(e^sigma - 1)
+        gain = a * -math.expm1(-sigma)             # a(1 - e^-sigma)
+
+        if code is CaseCode.RNRN:
+            return None, None, (z1 + (T_d - T),)
+
+        if code is CaseCode.RNRP:
+            zd1 = z1 + np.log((bl + a * np.exp(d - z1)) / (bl + a))
+            x_off = bl - bl * np.exp(z1 - d - sigma) + gain
+            x_after = bl - (bl + a) * math.exp(-tau) + a * np.exp(-tau + sigma + d - zd1)
+            return None, np.maximum(x_off, x_after), (zd1, z2 + (T_d - T))
+
+        if code in (CaseCode.RPRP, CaseCode.RPFP, CaseCode.FPFP):
+            if code is CaseCode.RPRP:
+                x_off = bl - bl * np.exp(z1 - d - sigma) + gain
+                x_at_tmax = x_max + es * np.exp(d - t_max)
+                x_mx = np.maximum(x_off, x_at_tmax)
+            elif code is CaseCode.RPFP:
+                x_mx = x_max + a * -np.expm1(d - t_max)
+            else:
+                x_mx = None
+            return None, x_mx, (z1, z2 + (T_d - T))
+
+        if code in (CaseCode.RPFN, CaseCode.FPFN):
+            zd2 = z2 + np.log((bu - a * np.exp(d - z2)) / (bu - a))
+            x_mn = x_min + a * math.exp(-tau) * np.expm1(d + sigma - zd2)
+            x_mx = x_max + a * -np.expm1(d - t_max) if code is CaseCode.RPFN else None
+            return x_mn, x_mx, (z1, zd2, z1 + T_d)
+
+        x_on = -bu + bu * np.exp(z2 - d)           # still on the orbit at onset
+        if code in (CaseCode.FNFN, CaseCode.FNRN):
+            if code is CaseCode.FNFN:
+                x_at_T = x_min + es * np.exp(d - T)
+            else:
+                x_at_T = x_min + a * -np.expm1(d - T)
+            return np.minimum(x_on, x_at_T), None, (z1 + T_d,)
+
+        # FNRP (cycle_length has already rejected FNFP)
+        zd3 = z1 + T + np.log((bl + a * np.exp(d - z1 - T)) / (bl + a))
+        x_at_T = x_min + a * -np.expm1(d - T)
+        # the maximum candidates mirror RNRP: one delay after the re-zero, or the
+        # pulse end when the offset value overshoots beta_L
+        x_after = x_max + a * math.exp(-tau) * np.expm1(sigma + d - zd3)
+        x_off = bl - bl * np.exp(z1 - (d + sigma - T)) + gain
+        return (np.minimum(x_on, x_at_T), np.maximum(x_after, x_off),
+                (zd3, z2 + T_d))
+
+    def response(self, deltas) -> Responses:
+        """Closed-form cycle length, extrema and zeros of every onset.
+
+        Raises StandingHypothesisViolated for the whole call when any onset
+        classifies FNFP, which has no closed form.
+        """
+        d = self._onsets(deltas)
+        code, rnrp2 = self._classify(d)
+        orb = self.orbit
+        T = np.empty_like(d)
+        x_min = np.full_like(d, orb.x_min)
+        x_max = np.full_like(d, orb.x_max)
+        zeros = np.full((3, d.size), np.nan)
+        n_zeros = np.empty(d.size, dtype=np.intp)
+        counts = np.bincount(code, minlength=len(CODES))
+        if counts[_IX[CaseCode.FNFP]]:
+            raise StandingHypothesisViolated("no closed form for case FNFP")
+        for i in np.flatnonzero(counts):
+            m = code == i
+            dm = d[m]
+            T[m] = T_d = self.cycle_length(dm, CODES[i])
+            lo, hi, zs = self._extrema(CODES[i], dm, T_d)
+            if lo is not None:
+                x_min[m] = lo
+            if hi is not None:
+                x_max[m] = hi
+            for row, z in zip(zeros, zs):
+                row[m] = z
+            n_zeros[m] = len(zs)
+        return Responses(code, rnrp2, T, x_min, x_max, _j_delta(orb, d), zeros, n_zeros)
+
+    def simulated(self, delta: float, case: Case) -> CycleStats:
+        """Cycle length and extrema of one onset measured from an event-driven
+        run; ``case`` is the onset's classification."""
+        params, orb = self.params, self.orbit
+        traj = _pulsed(params, orb, self.a, delta, self.sigma)
+        J = int(_j_delta(orb, delta))
+        orbit_zeros = (-params.tau, orb.z1, orb.z2)
+
+        merged = merge_time(traj, orb, t_free=delta + self.sigma)
+        if merged is None:
+            zs = tuple(z.t for z in traj.zeros)
+            return CycleStats(case, math.inf, math.nan, math.nan, J, zs,
+                              diagnostics={"zeros_seen": list(zs), "horizon": traj.horizon})
+
+        # first merge zero of the same phase as the reference zero z~_J; if the
+        # pulse sits exactly on an orbit zero the solution may rejoin half a swing
+        # early, in the opposite phase (then z~_{J-1} is the matching reference)
+        if merged.phase is _PHASE_OF_ZERO[J]:
+            z_def = merged.zero
+        else:
+            gap = orb.z1 - (-params.tau) if J == 1 else orb.z2 - orb.z1
+            z_def = merged.zero + gap
+        T_d = z_def - orbit_zeros[J]
+        lo = orbit_zeros[J]
+        x_mn, x_mx = traj.breakpoint_extrema(lo, min(z_def, traj.horizon))
+        zs = tuple(z.t for z in traj.zeros if lo < z.t <= z_def + 1e-12)
+        return CycleStats(case, T_d, x_mn, x_mx, J, zs)
+
+
 def thresholds(params: ModelParams, a: float, sigma: float) -> Thresholds:
     """The four onset thresholds delta1, delta1_hat, delta2, delta_bar."""
-    if not a > 0:
-        raise ValidationError("amp_positive", f"a = {a} must be > 0")
-    if not 0 < sigma <= params.tau:
-        raise ValidationError("sigma_le_tau", f"need 0 < sigma <= tau, got {sigma}")
-    orb = _require_oscillatory(params)
-    bl, bu, tau = params.beta_l, params.beta_u, params.tau
-    gain = a * -math.expm1(-sigma)            # a(1 - e^-sigma)
-    d1 = orb.z1 - sigma - math.log((bl + gain) / bl)
-    d1_hat = orb.z1 - sigma + math.log(bl / gain)
-    if gain < bu:
-        d2 = orb.z2 - sigma + math.log(bu / (bu - gain))
-    else:
-        d2 = math.inf                          # offset value never negative
-    d_bar = orb.period - math.log(
-        0.5 + math.sqrt(0.25 + a * math.expm1(sigma) * math.exp(tau) / bu))
-    return Thresholds(delta1=d1, delta1_hat=d1_hat, delta2=d2, delta_bar=d_bar,
-                      delta2_relaxed=not d2 < orb.z2)
+    return PulseContext(params, a, sigma).thresholds
 
 
 def classify(params: ModelParams, pulse: PulseSpec) -> Case:
-    """The unique case whose onset interval contains pulse.delta.
-
-    Interval endpoints follow the case definitions exactly: [0, delta1) is
-    RNRN when delta1 > 0; [max(0, delta1), z1) RNRP; [z1, tmax - sigma] RPRP;
-    (tmax - sigma, tmax) RPF{P:delta <= delta2, N:else}; [tmax, z2] FPF*;
-    (z2, T - sigma) FNF*; [T - sigma, T) FNR{N:delta < T + delta1, P:else}.
-    The onset t_max itself is in the falling phase.
-    """
+    """The unique case whose onset interval contains pulse.delta."""
     check_pulse(params, pulse)
-    orb = _require_oscillatory(params)
-    th = thresholds(params, pulse.a, pulse.sigma)
-    d, sigma = pulse.delta, pulse.sigma
-    if not 0 <= d < orb.period:
-        raise OutOfDomainError(f"delta = {d} outside [0, T = {orb.period})")
-    t_max = orb.t_max
-    if d < t_max:
-        if d < orb.z1:
-            if th.delta1 > 0 and d < th.delta1:
-                return Case(CaseCode.RNRN)
-            sub = "RNRP1" if d <= th.delta1_hat else "RNRP2"
-            return Case(CaseCode.RNRP, sub)
-        if d <= t_max - sigma:
-            return Case(CaseCode.RPRP)
-        return Case(CaseCode.RPFP if d <= th.delta2 else CaseCode.RPFN)
-    if d <= orb.z2:
-        return Case(CaseCode.FPFP if d <= th.delta2 else CaseCode.FPFN)
-    if d < orb.period - sigma:
-        return Case(CaseCode.FNFN if d > th.delta2 else CaseCode.FNFP)
-    return Case(CaseCode.FNRN if d < orb.period + th.delta1 else CaseCode.FNRP)
-
-
-def _j_delta(orb: PeriodicOrbit, delta: float) -> int:
-    if delta >= orb.z2:
-        return 2
-    if delta >= orb.z1:
-        return 1
-    return 0
+    return PulseContext(params, pulse.a, pulse.sigma).case(pulse.delta)
 
 
 def case_cycle_length(params: ModelParams, a: float, sigma: float,
@@ -154,31 +367,7 @@ def case_cycle_length(params: ModelParams, a: float, sigma: float,
     Adjacent case formulas agree at their shared onset threshold; this
     entry point lets callers check exactly that.
     """
-    orb = _require_oscillatory(params)
-    bl, bu, tau = params.beta_l, params.beta_u, params.tau
-    z1, z2, T = orb.z1, orb.z2, orb.period
-    es = a * math.expm1(sigma)
-    if code is CaseCode.RNRN:
-        return T + math.log1p(-es / bl * math.exp(delta - z1))
-    if code is CaseCode.RNRP:
-        return T + math.log1p(
-            es / bu * math.exp(delta - z2)
-            + a * (bl + bu) * math.exp(tau + z1 - z2) / (bu * (bl + a))
-            * math.expm1(delta - z1))
-    if code in (CaseCode.RPRP, CaseCode.RPFP, CaseCode.FPFP):
-        return T + math.log1p(es / bu * math.exp(delta - z2))
-    if code in (CaseCode.RPFN, CaseCode.FPFN):
-        return T + math.log1p(
-            -es / bl * math.exp(delta - z1 - T)
-            - a * (bl + bu) * math.exp(-z1) / (bl * (bu - a)) * math.expm1(delta - z2))
-    if code in (CaseCode.FNFN, CaseCode.FNRN):
-        return T + math.log1p(-es / bl * math.exp(delta - z1 - T))
-    if code is CaseCode.FNRP:
-        return T + math.log1p(
-            es / bu * math.exp(delta - z2 - T)
-            + a * (bl + bu) * math.exp(tau + z1 - z2) / (bu * (bl + a))
-            * math.expm1(delta - z1 - T))
-    raise StandingHypothesisViolated(f"no closed form for case {code.value}")
+    return float(PulseContext(params, a, sigma).cycle_length([delta], code)[0])
 
 
 def response_closed_form(params: ModelParams, pulse: PulseSpec) -> CycleStats:
@@ -191,63 +380,17 @@ def response_closed_form(params: ModelParams, pulse: PulseSpec) -> CycleStats:
     if not pulse.a < params.beta_u:
         raise StandingHypothesisViolated(
             f"closed forms need a < beta_U (a = {pulse.a}, beta_U = {params.beta_u})")
-    orb = _require_oscillatory(params)
-    case = classify(params, pulse)
-    bl, bu, tau = params.beta_l, params.beta_u, params.tau
-    a, sigma, d = pulse.a, pulse.sigma, pulse.delta
-    z1, z2, T, t_max = orb.z1, orb.z2, orb.period, orb.t_max
-    x_min, x_max = orb.x_min, orb.x_max
-    es = a * math.expm1(sigma)                 # a(e^sigma - 1)
-    gain = a * -math.expm1(-sigma)             # a(1 - e^-sigma)
-    J = _j_delta(orb, d)
-    code = case.code
+    return PulseContext(params, pulse.a, pulse.sigma).response(pulse.delta).stats(0)
 
-    T_d = case_cycle_length(params, a, sigma, d, code)
 
-    if code is CaseCode.RNRN:
-        return CycleStats(case, T_d, x_min, x_max, J, (z1 + (T_d - T),))
-
-    if code is CaseCode.RNRP:
-        zd1 = z1 + math.log((bl + a * math.exp(d - z1)) / (bl + a))
-        x_off = bl - bl * math.exp(z1 - d - sigma) + gain
-        x_after = bl - (bl + a) * math.exp(-tau) + a * math.exp(-tau + sigma + d - zd1)
-        return CycleStats(case, T_d, x_min, max(x_off, x_after), J, (zd1, z2 + (T_d - T)))
-
-    if code in (CaseCode.RPRP, CaseCode.RPFP, CaseCode.FPFP):
-        if code is CaseCode.RPRP:
-            x_off = bl - bl * math.exp(z1 - d - sigma) + gain
-            x_at_tmax = x_max + es * math.exp(d - t_max)
-            x_mx = max(x_off, x_at_tmax)
-        elif code is CaseCode.RPFP:
-            x_mx = x_max + a * -math.expm1(d - t_max)
-        else:
-            x_mx = x_max
-        return CycleStats(case, T_d, x_min, x_mx, J, (z1, z2 + (T_d - T)))
-
-    if code in (CaseCode.RPFN, CaseCode.FPFN):
-        zd2 = z2 + math.log((bu - a * math.exp(d - z2)) / (bu - a))
-        x_mn = x_min + a * math.exp(-tau) * math.expm1(d + sigma - zd2)
-        x_mx = x_max + a * -math.expm1(d - t_max) if code is CaseCode.RPFN else x_max
-        return CycleStats(case, T_d, x_mn, x_mx, J, (z1, zd2, z1 + T_d))
-
-    if code in (CaseCode.FNFN, CaseCode.FNRN):
-        x_on = -bu + bu * math.exp(z2 - d)     # still on the orbit at onset
-        if code is CaseCode.FNFN:
-            x_at_T = x_min + es * math.exp(d - T)
-        else:
-            x_at_T = x_min + a * -math.expm1(d - T)
-        return CycleStats(case, T_d, min(x_on, x_at_T), x_max, J, (z1 + T_d,))
-
-    # FNRP (case_cycle_length has already rejected FNFP)
-    zd3 = z1 + T + math.log((bl + a * math.exp(d - z1 - T)) / (bl + a))
-    x_on = -bu + bu * math.exp(z2 - d)
-    x_at_T = x_min + a * -math.expm1(d - T)
-    # the maximum candidates mirror RNRP: one delay after the re-zero, or the
-    # pulse end when the offset value overshoots beta_L
-    x_after = x_max + a * math.exp(-tau) * math.expm1(sigma + d - zd3)
-    x_off = bl - bl * math.exp(z1 - (d + sigma - T)) + gain
-    return CycleStats(case, T_d, min(x_on, x_at_T), max(x_after, x_off), J,
-                      (zd3, z2 + T_d))
+def _pulsed(params: ModelParams, orb: PeriodicOrbit, a: float, delta: float,
+            sigma: float, horizon: Optional[float] = None) -> Trajectory:
+    if not 0 <= delta < orb.period:
+        raise OutOfDomainError(f"delta = {delta} outside [0, T = {orb.period})")
+    if horizon is None:
+        horizon = delta + sigma + merge_window(orb) + orb.period
+    window = PulseWindow(a, delta, delta + sigma)
+    return evolve(params, orb.history_min_phase(), horizon, pulse=window)
 
 
 def pulsed_trajectory(params: ModelParams, pulse: PulseSpec,
@@ -255,13 +398,7 @@ def pulsed_trajectory(params: ModelParams, pulse: PulseSpec,
     """The pulsed solution x^(Delta): orbit history, pulse on [Delta, Delta+sigma]."""
     check_pulse(params, pulse)
     orb = _require_oscillatory(params)
-    if not 0 <= pulse.delta < orb.period:
-        raise OutOfDomainError(f"delta = {pulse.delta} outside [0, T = {orb.period})")
-    if horizon is None:
-        horizon = pulse.delta + pulse.sigma + merge_window(orb) + orb.period
-    window = PulseWindow(pulse.a, pulse.delta, pulse.delta + pulse.sigma)
-    traj = evolve(params, orb.history_min_phase(), horizon, pulse=window)
-    return traj, orb
+    return _pulsed(params, orb, pulse.a, pulse.delta, pulse.sigma, horizon), orb
 
 
 _PHASE_OF_ZERO = {0: MergePhase.MIN, 1: MergePhase.MAX, 2: MergePhase.MIN}
@@ -274,28 +411,6 @@ def response_simulated(params: ModelParams, pulse: PulseSpec) -> CycleStats:
     solution never rejoins the orbit before the guaranteed merge window
     (possible only for a >= beta_U).
     """
-    traj, orb = pulsed_trajectory(params, pulse)
-    case = classify(params, pulse)
-    d = pulse.delta
-    J = _j_delta(orb, d)
-    orbit_zeros = (-params.tau, orb.z1, orb.z2)
-
-    merged = merge_time(traj, orb, t_free=d + pulse.sigma)
-    if merged is None:
-        zs = tuple(z.t for z in traj.zeros)
-        return CycleStats(case, math.inf, math.nan, math.nan, J, zs,
-                          diagnostics={"zeros_seen": list(zs), "horizon": traj.horizon})
-
-    # first merge zero of the same phase as the reference zero z~_J; if the
-    # pulse sits exactly on an orbit zero the solution may rejoin half a swing
-    # early, in the opposite phase (then z~_{J-1} is the matching reference)
-    if merged.phase is _PHASE_OF_ZERO[J]:
-        z_def = merged.zero
-    else:
-        gap = orb.z1 - (-params.tau) if J == 1 else orb.z2 - orb.z1
-        z_def = merged.zero + gap
-    T_d = z_def - orbit_zeros[J]
-    lo = orbit_zeros[J]
-    x_mn, x_mx = traj.breakpoint_extrema(lo, min(z_def, traj.horizon))
-    zs = tuple(z.t for z in traj.zeros if lo < z.t <= z_def + 1e-12)
-    return CycleStats(case, T_d, x_mn, x_mx, J, zs)
+    check_pulse(params, pulse)
+    ctx = PulseContext(params, pulse.a, pulse.sigma)
+    return ctx.simulated(pulse.delta, ctx.case(pulse.delta))

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .exceptions import ValidationError
 from .orbit import PeriodicOrbit, periodic_solution
-from .params import ModelParams, PulseSpec
-from .pulse import CaseCode, Thresholds, case_cycle_length, classify, \
-    response_closed_form, response_simulated, thresholds
+from .params import ModelParams, PulseSpec, check_pulse
+from .pulse import CODES, Case, CaseCode, PulseContext, Thresholds, thresholds
 
 _TOL = 1e-12
 
@@ -81,31 +82,39 @@ def cycle_length_map(params: ModelParams, a: float, sigma: float, n_grid: int,
     """
     if n_grid < 16:
         raise ValidationError("grid_size", f"n_grid = {n_grid} must be >= 16")
-    orb = periodic_solution(params)
-    th = thresholds(params, a, sigma)
-    rows = []
-    for i in range(n_grid):
-        d = orb.period * i / n_grid
-        pulse = PulseSpec(a, d, sigma)
-        stats = response_simulated(params, pulse) if simulated \
-            else response_closed_form(params, pulse)
-        rows.append(SweepRow(d, stats.case.code.value, stats.case.sub,
-                             stats.T, stats.x_min, stats.x_max))
+    ctx = PulseContext(params, a, sigma)
+    check_pulse(params, PulseSpec(a, 0.0, sigma))   # a < beta_U: no relaxed sweeps
+    orb, th = ctx.orbit, ctx.thresholds
+    deltas = orb.period * np.arange(n_grid) / n_grid
+    if simulated:
+        code, rnrp2 = ctx.classify(deltas)
+        stats = [ctx.simulated(d, Case.of(c, s)) for d, c, s
+                 in zip(deltas.tolist(), code.tolist(), rnrp2.tolist())]
+        cols = ([st.T for st in stats], [st.x_min for st in stats],
+                [st.x_max for st in stats])
+    else:
+        r = ctx.response(deltas)
+        code, rnrp2 = r.code, r.rnrp2
+        cols = (r.T.tolist(), r.x_min.tolist(), r.x_max.tolist())
+    cases = {(c, s): Case.of(c, s) for c in range(len(CODES)) for s in (False, True)}
+    labels = {key: (case.code.value, case.sub) for key, case in cases.items()}
+    rows = tuple(SweepRow(d, *labels[key], T, lo, hi) for d, key, T, lo, hi in zip(
+        deltas.tolist(), zip(code.tolist(), rnrp2.tolist()), *cols))
     # the map lives on [0, T); report the left limit toward T separately
-    last_code = classify(params, PulseSpec(a, orb.period * (1 - 1e-9), sigma)).code
-    t_left_limit = case_cycle_length(params, a, sigma, orb.period, last_code)
+    last, _ = ctx.classify(orb.period * (1 - 1e-9))
+    t_left_limit = float(ctx.cycle_length(orb.period, CODES[last[0]]))
     markers = {"delta1": th.delta1, "z1": orb.z1, "tmax_minus_sigma": orb.t_max - sigma,
                "delta2": th.delta2, "tmax": orb.t_max, "z2": orb.z2,
                "T_minus_sigma": orb.period - sigma, "T": orb.period,
                "delta_bar": th.delta_bar, "delta1_hat": th.delta1_hat,
                "T_left_limit": t_left_limit}
-    return SweepTable(params, a, sigma, n_grid, tuple(rows), markers, th, orb)
+    return SweepTable(params, a, sigma, n_grid, rows, markers, th, orb)
 
 
 def case_sequence(params: ModelParams, a: float, sigma: float) -> list[CaseInterval]:
     """Nonempty onset intervals in left-endpoint order, partitioning [0, T)."""
-    orb = periodic_solution(params)
-    th = thresholds(params, a, sigma)
+    ctx = PulseContext(params, a, sigma)
+    orb, th = ctx.orbit, ctx.thresholds
     t_max, z1, z2, T = orb.t_max, orb.z1, orb.z2, orb.period
     d1, d2 = th.delta1, th.delta2
     iv: list[CaseInterval] = []

@@ -183,3 +183,29 @@ def test_sweep_format_json(capsys):
     assert len(rows) == 16 and rows[0]["case"] == "RNRN"
     payload = json.loads("{" + rest)
     assert "T_left_limit" in payload["markers"]
+
+
+_SEQUENCE = [
+    ("sweep", "--preset", "p1", "--amp", "0.2"),          # argparse error: no --sigma
+    ("sweep", "--preset", "p1", "--amp", "0.2", "--sigma", "0.4", "--grid", "64"),
+    ("classify", "--preset", "p2", "--amp", "0.2", "--sigma", "0.4", "--delta", "3.0"),
+    ("simulate", "--preset", "p1", "--horizon", "9", "--samples", "51",
+     "--amp", "0.2", "--delta", "1.0", "--sigma", "0.4"),
+    ("simulate", "--preset", "p1", "--horizon", "9", "--samples", "51"),
+]
+
+
+def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
+    # one parser serves every main() call; no value may leak between calls
+    fresh = []
+    for argv in _SEQUENCE:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0]
+    assert fresh[3][1] != fresh[4][1]                   # the pulse shows
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in _SEQUENCE] == fresh
+    assert len(builds) == 1

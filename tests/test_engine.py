@@ -148,3 +148,19 @@ def test_csv_rows(p1):
     assert len(rows) == 11
     assert rows[0][0] == -1.0 and rows[-1][0] == 2.0
     assert math.isclose(rows[0][1], 1.0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["const", "orbit", "premax"])
+def test_sample_equals_per_arc_loop(p1, orb1, spec):
+    hist = {"const": History.constant(1.0, 1.0), "orbit": orb1.history_min_phase(),
+            "premax": orb1.history_pre_max()}[spec]
+    traj = evolve(p1, hist, 40.0)
+    breaks = [a.t_start for a in hist.arcs + traj.arcs] + [traj.horizon]
+    ts = np.unique(np.concatenate([np.linspace(-1.0, traj.horizon, 10_001), breaks]))
+    want = np.empty_like(ts)
+    # the arc owning each time: history up to 0, later arcs win at breakpoints
+    for chain, part in ((hist.arcs, ts <= 0), (traj.arcs, ts > 0)):
+        for arc in chain:
+            m = part & (ts >= arc.t_start) & (ts <= arc.t_end)
+            want[m] = arc.c + arc.k * np.exp(-(ts[m] - arc.t_start))
+    assert np.array_equal(traj.sample(ts), want)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from relaydde import (CaseCode, ModelParams, OutOfDomainError, PulseSpec,
+from relaydde import (CaseCode, ModelParams, OutOfDomainError, PulseContext, PulseSpec,
                       StandingHypothesisViolated, ValidationError,
-                      case_cycle_length, classify, periodic_solution,
-                      response_closed_form, response_simulated, thresholds)
+                      case_cycle_length, case_sequence, classify, cycle_length_map,
+                      periodic_solution, response_closed_form, response_simulated,
+                      thresholds)
+from relaydde.pulse import CODES
 
 import _expected as exp
 from conftest import random_oscillatory
@@ -362,3 +364,79 @@ def test_threshold_invariants_property(tau, bl, bu, fa, fs):
     assert -sigma < th.delta1 < orb.z1
     assert orb.t_max - sigma < th.delta2 < orb.z2
     assert th.delta1_hat > th.delta1
+
+
+# ------------------------------------------------- the array path at the edges
+
+U_MIN = {CaseCode.RNRN, CaseCode.RNRP, CaseCode.RPRP, CaseCode.RPFP, CaseCode.FPFP}
+U_MAX = {CaseCode.RNRN, CaseCode.FPFP, CaseCode.FPFN, CaseCode.FNFN, CaseCode.FNRN}
+
+
+def _pinned_onsets(params, a, sigma):
+    """Every analytic case threshold in [0, T) and the doubles next to it."""
+    orb = periodic_solution(params)
+    th = thresholds(params, a, sigma)
+    T = orb.period
+    out = set()
+    for d in (th.delta1, th.delta1_hat, th.delta2, th.delta_bar, orb.z1,
+              orb.t_max - sigma, orb.t_max, orb.z2, T - sigma, T + th.delta1):
+        for x in (math.nextafter(d, -math.inf), d, math.nextafter(d, math.inf)):
+            if 0.0 <= x < T:
+                out.add(x)
+    return sorted(out)
+
+
+def _same_stats(st, want):
+    return (st.case == want.case and st.J == want.J and st.zeros == want.zeros
+            and (st.T, st.x_min, st.x_max) == (want.T, want.x_min, want.x_max))
+
+
+def test_array_path_at_thresholds_and_on_grid(p1, p2):
+    """One implementation: the array path agrees with the interval partition,
+    its rows equal the scalar view bit for bit, and U columns stay exact."""
+    rng = np.random.default_rng(41)
+    setups = [(p1, A, SIGMA), (p2, A, SIGMA)]
+    setups += [random_pulse_setup(rng) for _ in range(20)]
+    n = 4096
+    for k, (params, a, sigma) in enumerate(setups):
+        ctx = PulseContext(params, a, sigma)
+        orb, th = ctx.orbit, ctx.thresholds
+        pinned = _pinned_onsets(params, a, sigma)
+        table = cycle_length_map(params, a, sigma, n)
+        onsets = np.array([r.delta for r in table.rows] + pinned)
+        resp = ctx.response(onsets)
+        ivs = case_sequence(params, a, sigma)
+        codes = [CODES[c] for c in resp.code.tolist()]
+        for d, code in zip(onsets.tolist(), codes):
+            owner = [iv.code for iv in ivs if iv.contains(d)]
+            assert owner == [code], (k, d)
+        rnrp = resp.code == CODES.index(CaseCode.RNRP)
+        assert np.array_equal(resp.rnrp2, rnrp & (onsets > th.delta1_hat))
+        u_min = np.isin(resp.code, [CODES.index(c) for c in U_MIN])
+        u_max = np.isin(resp.code, [CODES.index(c) for c in U_MAX])
+        assert u_min.any() and u_max.any()
+        assert (resp.x_min[u_min] == orb.x_min).all()
+        assert (resp.x_max[u_max] == orb.x_max).all()
+        subs = [("RNRP2" if s else "RNRP1") if r else None
+                for r, s in zip(rnrp.tolist(), resp.rnrp2.tolist())]
+        want = zip([c.value for c in codes], subs, resp.T.tolist(),
+                   resp.x_min.tolist(), resp.x_max.tolist())
+        assert [(r.case, r.sub, r.T, r.x_min, r.x_max) for r in table.rows] \
+            == list(want)[:n], k
+        # the scalar view on every pinned onset and a grid subsample (~0.1 ms a call)
+        step = 4 if k < 2 else 64
+        for i in [*range(0, n, step), *range(n, onsets.size)]:
+            want = response_closed_form(params, PulseSpec(a, float(onsets[i]), sigma))
+            assert _same_stats(resp.stats(i), want), (k, onsets[i])
+
+
+def test_array_path_rejects_fnfp_for_the_whole_call():
+    params = ModelParams(1.0, 0.3, 0.6)
+    ctx = PulseContext(params, 0.95, 0.4)
+    onsets = [0.1, 2.15, 2.9]
+    code, _ = ctx.classify(onsets)
+    assert CODES[code[1]] is CaseCode.FNFP
+    with pytest.raises(StandingHypothesisViolated):
+        ctx.response(onsets)
+    with pytest.raises(OutOfDomainError):
+        ctx.classify([0.1, ctx.orbit.period])

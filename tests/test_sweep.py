@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import relaydde
 from relaydde import (ModelParams, PulseSpec, ValidationError, classify,
                       case_sequence, cycle_length_map, monotonicity_report,
                       periodic_solution, thresholds)
@@ -191,3 +193,29 @@ def test_left_limit_toward_period(p1, p2):
         table = cycle_length_map(params, A, SIGMA, 32)
         assert math.isclose(table.markers["T_left_limit"], table.rows[0].T,
                             abs_tol=1e-12)
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    """Count calls of module.name made through any relaydde module holding it."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.partition(".")[0] == "relaydde" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_orbit_and_thresholds_built_once_per_map(monkeypatch, p1):
+    calls = {"periodic_solution": 0, "thresholds": 0}
+    _count_calls(monkeypatch, relaydde.orbit, "periodic_solution", calls)
+    _count_calls(monkeypatch, relaydde.pulse, "thresholds", calls)
+    counts = []
+    for n in (256, 4096):
+        calls.update(periodic_solution=0, thresholds=0)
+        cycle_length_map(p1, A, SIGMA, n)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1], counts
+    assert 1 <= counts[0]["periodic_solution"] <= 2, counts
