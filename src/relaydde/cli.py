@@ -22,9 +22,9 @@ from .arcs import History
 from .engine import PulseWindow, evolve
 from .exceptions import PlanInfeasible, RelayDDEError
 from .orbit import periodic_solution
-from .params import (ModelParams, PulseSpec, RawParams, Regime,
+from .params import (ModelParams, PulseSpec, RawParams, Regime, check_pulse,
                      nondimensionalize, regime)
-from .pulse import response_closed_form, response_simulated, thresholds
+from .pulse import PulseContext
 from .sweep import case_sequence, cycle_length_map, monotonicity_report
 from .therapy import TherapyInput, apply_plan, plan
 from .threelevel import ThreeLevelParams, three_level_pulse, undershoot_threshold
@@ -35,18 +35,12 @@ PRESETS = {
 }
 
 
-def _fmt(x) -> object:
-    if isinstance(x, float):
-        return float(f"{x:.17g}")
-    return x
-
-
 def _dump_json(obj) -> str:
     def enc(o):
         if isinstance(o, (float, np.floating)):
             x = float(o)
             if math.isfinite(x):
-                return _fmt(x)
+                return x   # repr round-trips every double
             return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
         if isinstance(o, dict):
             return {k: enc(v) for k, v in o.items()}
@@ -133,9 +127,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_classify(args) -> int:
     params = _params_from(args)
     pulse = PulseSpec(args.amp, args.delta, args.sigma, relaxed=args.relaxed)
-    th = thresholds(params, args.amp, args.sigma)
-    stats = response_simulated(params, pulse) if args.relaxed \
-        else response_closed_form(params, pulse)
+    ctx = PulseContext(params, args.amp, args.sigma)
+    check_pulse(params, pulse)   # without --relaxed this rejects a >= beta_U
+    stats = ctx.stats(args.delta, simulated=args.relaxed)
+    th = ctx.thresholds
     payload = stats.to_dict(args.delta)
     payload["thresholds"] = {"delta1": th.delta1, "delta1_hat": th.delta1_hat,
                              "delta2": th.delta2, "delta_bar": th.delta_bar}

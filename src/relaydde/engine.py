@@ -16,12 +16,13 @@ model is the special case with the single threshold 0.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -81,17 +82,22 @@ class Trajectory:
     #: crossings of every feedback threshold: (time, threshold index, upward)
     crossings: tuple[tuple[float, int, bool], ...] = field(repr=False, default=())
 
+    def __post_init__(self):
+        # arc end times, for bisection; the arcs are contiguous and in order
+        object.__setattr__(self, "_ends", [a.t_end for a in self.arcs])
+
     @property
     def horizon(self) -> float:
         return self.arcs[-1].t_end
 
     def value(self, t: float) -> float:
+        """x(t); a breakpoint takes the earlier arc's value."""
         if t <= 0:
             return self.history.value(t)
-        for arc in self.arcs:
-            if arc.t_start <= t <= arc.t_end:
-                return arc.value(t)
-        raise ValidationError("traj_domain", f"t = {t} beyond horizon {self.horizon}")
+        i = bisect.bisect_left(self._ends, t)    # the first arc ending at or after t
+        if i == len(self.arcs) or not self.arcs[i].t_start <= t:
+            raise ValidationError("traj_domain", f"t = {t} beyond horizon {self.horizon}")
+        return self.arcs[i].value(t)
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at sorted times within [-tau, horizon]."""
@@ -127,7 +133,12 @@ class Trajectory:
         """(min, max) of the solution over [lo, hi]; arcs are monotone, so the
         extrema sit at arc endpoints clipped to the window."""
         vals = [self.value(lo), self.value(hi)]
-        for arc in list(self.history.arcs) + list(self.arcs):
+        hist = self.history.arcs
+        # the arcs that can have an endpoint in [lo, hi]: from the first one
+        # ending at or after lo to the first one ending after hi
+        ends = self._ends
+        near = self.arcs[bisect.bisect_left(ends, lo):bisect.bisect_right(ends, hi) + 1]
+        for arc in (hist + near if lo <= hist[-1].t_end else near):
             for tt in (arc.t_start, arc.t_end):
                 if lo <= tt <= hi:
                     vals.append(arc.value(tt))
@@ -193,6 +204,19 @@ def evolve(params: ModelParams, history: History, horizon: float,
     segment end is only booked once the next arc confirms the threshold is
     actually crossed, so grazing contact schedules no feedback switch.
     """
+    return _evolve(params, history, horizon, pulse, feedback)
+
+
+#: called after each emitted arc with that arc and the zeros booked so far,
+#: in time order; returning True ends the run after the arc
+StopHook = Callable[[ExpArc, list[Zero]], bool]
+
+
+def _evolve(params: ModelParams, history: History, horizon: float,
+            pulse: Optional[PulseWindow], feedback: Optional[FeedbackTable],
+            stop: Optional[StopHook] = None) -> Trajectory:
+    """evolve(), optionally ended early by ``stop``: the arcs emitted up to
+    then are the same floats a run to the full horizon emits."""
     if not horizon > 0:
         raise ValidationError("horizon_positive", f"horizon = {horizon} must be > 0")
     if abs(history.tau - params.tau) > _tie(params.tau):
@@ -221,13 +245,15 @@ def evolve(params: ModelParams, history: History, horizon: float,
                                                    _branch_after(th, 0.0, thresholds)))
             break
 
-    while t < horizon - _tie(horizon):
-        while run.events and run.events[0][0] <= t + _tie(t):
+    t_last = horizon - _tie(horizon)
+    while t < t_last:
+        tie_t = _tie(t)
+        while run.events and run.events[0][0] <= t + tie_t:
             _, _, b = heapq.heappop(run.events)
             if b >= 0:
                 branch = b
         level = fb.levels[branch]
-        if pulse is not None and pulse.t_on - _tie(t) <= t < pulse.t_off - _tie(t):
+        if pulse is not None and pulse.t_on - tie_t <= t < pulse.t_off - tie_t:
             level += pulse.a
         seg_end = min(run.events[0][0], horizon) if run.events else horizon
         probe = ExpArc(t, seg_end + 1.0, level, x - level)
@@ -260,8 +286,11 @@ def evolve(params: ModelParams, history: History, horizon: float,
             seg_end = min(seg_end, s1 + tau)
             lo = s1
 
-        arcs.append(ExpArc(t, seg_end, level, x - level))
-        x = arcs[-1].end_value
+        arc = ExpArc(t, seg_end, level, x - level)
+        arcs.append(arc)
+        if stop is not None and stop(arc, run.zeros):
+            break
+        x = arc.end_value
         t = seg_end
 
     run.zeros.sort(key=lambda z: z.t)

@@ -23,12 +23,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .arcs import ExpArc, History, _tie, chains_equal
-from .engine import Trajectory
+from .engine import Trajectory, Zero
 from .exceptions import HorizonExhausted, RegimeError
 from .params import ModelParams, Regime, regime
 
@@ -145,6 +145,70 @@ def merge_window(orbit: PeriodicOrbit) -> float:
     return orbit.period + 2 * orbit.params.tau + orbit.period
 
 
+class _MergeScan:
+    """Merge validation of a chain's zeros, each zero once, in time order.
+
+    A zero z >= t_free is a merge when the chain on its check window
+    [z, min(second.t_end, z + 2*tau)] equals the two orbit arcs following z
+    (translated to z) within 1e-10 in (c, k) data. ``chain`` holds the
+    history arcs and then the solution arcs; a caller may keep appending
+    arcs, and a zero is checked as soon as the chain covers its window.
+    """
+
+    def __init__(self, orbit: PeriodicOrbit, chain: list[ExpArc], t_free: float):
+        self.orbit, self.chain, self.t_free = orbit, chain, t_free
+        self.found: Optional[MergeInfo] = None
+        self.done = 0      # zeros checked, or skipped as earlier than t_free
+        self.first = 0     # chain arcs before this one end before the next zero
+        # the next zero to check: time, phase, expected arcs, window end and its tie
+        self._next: Optional[tuple] = None
+
+    def advance(self, zeros: Sequence[Zero], covered: float,
+                final: bool = False) -> Optional[MergeInfo]:
+        """Check the zeros whose windows the chain, which ends at ``covered``,
+        now decides; the merge once found.
+
+        Until ``final`` (no arc will follow) a window also waits for the
+        chain to pass the point where a later arc could still reach into it.
+        """
+        tau = self.orbit.params.tau
+        while self.found is None and self.done < len(zeros):
+            if self._next is None:
+                zero = zeros[self.done]
+                if zero.t < self.t_free - _tie(self.t_free):
+                    self.done += 1
+                    continue
+                phase = MergePhase.MAX if zero.up else MergePhase.MIN
+                first, second = _expected_arcs(self.orbit, zero.t, phase)
+                end = min(second.t_end, zero.t + 2 * tau)
+                self._next = (zero.t, phase, (first, second), end, _tie(end))
+            z, phase, expected, end, tie_end = self._next
+            if end > covered + tie_end or (not final and covered < end - tie_end):
+                return None
+            # the arcs chains_equal keeps on [z, end]: the chain is sorted
+            chain, i = self.chain, self.first
+            while i < len(chain) and chain[i].t_end <= z + _tie(z):
+                i += 1
+            self.first = j = i
+            while j < len(chain) and chain[j].t_start < end - tie_end:
+                j += 1
+            if chains_equal(chain[i:j], expected, z, end, tol=1e-10):
+                self.found = MergeInfo(zero=z, phase=phase)
+            self._next = None
+            self.done += 1
+        return self.found
+
+    def finish(self, zeros: Sequence[Zero], horizon: float) -> Optional[MergeInfo]:
+        """The merge of a chain that ends at ``horizon``; None when there
+        provably is none, HorizonExhausted when the horizon cannot decide."""
+        if self.advance(zeros, horizon, final=True) is not None:
+            return self.found
+        if self.done < len(zeros) or horizon < self.t_free + merge_window(self.orbit):
+            raise HorizonExhausted(
+                f"horizon {horizon} too short to decide merge after t = {self.t_free}")
+        return None
+
+
 def merge_time(traj: Trajectory, orbit: PeriodicOrbit,
                t_free: float = 0.0) -> Optional[MergeInfo]:
     """Earliest zero z >= t_free where the trajectory joins the orbit.
@@ -156,21 +220,5 @@ def merge_time(traj: Trajectory, orbit: PeriodicOrbit,
     before the horizon; raises HorizonExhausted when the horizon is too short
     to decide.
     """
-    tau = orbit.params.tau
-    chain = list(traj.history.arcs) + list(traj.arcs)
-    undecided = False
-    for zero in traj.zeros:
-        if zero.t < t_free - _tie(t_free):
-            continue
-        phase = MergePhase.MAX if zero.up else MergePhase.MIN
-        first, second = _expected_arcs(orbit, zero.t, phase)
-        window_end = min(second.t_end, zero.t + 2 * tau)
-        if window_end > traj.horizon + _tie(window_end):
-            undecided = True
-            break
-        if chains_equal(chain, [first, second], zero.t, window_end, tol=1e-10):
-            return MergeInfo(zero=zero.t, phase=phase)
-    if undecided or traj.horizon < t_free + merge_window(orbit):
-        raise HorizonExhausted(
-            f"horizon {traj.horizon} too short to decide merge after t = {t_free}")
-    return None
+    scan = _MergeScan(orbit, [*traj.history.arcs, *traj.arcs], t_free)
+    return scan.finish(traj.zeros, traj.horizon)

@@ -24,10 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import PulseWindow, Trajectory, evolve
+from .arcs import History
+from .engine import PulseWindow, StopHook, Trajectory, _evolve
 from .exceptions import (OutOfDomainError, RegimeError, StandingHypothesisViolated,
                          ValidationError)
-from .orbit import MergePhase, PeriodicOrbit, merge_time, merge_window, periodic_solution
+from .orbit import (MergeInfo, MergePhase, PeriodicOrbit, _MergeScan, merge_window,
+                    periodic_solution)
 from .params import ModelParams, PulseSpec, Regime, check_pulse, regime
 
 
@@ -144,6 +146,7 @@ class PulseContext:
             raise ValidationError("sigma_le_tau", f"need 0 < sigma <= tau, got {sigma}")
         self.params, self.a, self.sigma = params, a, sigma
         self.orbit = orb = _require_oscillatory(params)
+        self._history = orb.history_min_phase()     # every simulated run starts here
         bl, bu, tau = params.beta_l, params.beta_u, params.tau
         gain = a * -math.expm1(-sigma)            # a(1 - e^-sigma)
         d1 = orb.z1 - sigma - math.log((bl + gain) / bl)
@@ -320,33 +323,60 @@ class PulseContext:
             n_zeros[m] = len(zs)
         return Responses(code, rnrp2, T, x_min, x_max, _j_delta(orb, d), zeros, n_zeros)
 
+    def stats(self, delta: float, simulated: bool = False) -> CycleStats:
+        """CycleStats of one onset: by the closed forms, or from an
+        event-driven run when ``simulated``.
+
+        The closed forms raise StandingHypothesisViolated unless a < beta_U.
+        """
+        if simulated:
+            return self.simulated(delta, self.case(delta))
+        if not self.a < self.params.beta_u:
+            raise StandingHypothesisViolated(
+                f"closed forms need a < beta_U (a = {self.a}, beta_U = {self.params.beta_u})")
+        return self.response(delta).stats(0)
+
     def simulated(self, delta: float, case: Case) -> CycleStats:
         """Cycle length and extrema of one onset measured from an event-driven
-        run; ``case`` is the onset's classification."""
-        params, orb = self.params, self.orbit
-        traj = _pulsed(params, orb, self.a, delta, self.sigma)
-        J = int(_j_delta(orb, delta))
-        orbit_zeros = (-params.tau, orb.z1, orb.z2)
+        run; ``case`` is the onset's classification.
 
-        merged = merge_time(traj, orb, t_free=delta + self.sigma)
+        The run ends on the arc that validates the merge; without a merge it
+        runs to the full horizon.
+        """
+        params, orb = self.params, self.orbit
+        J = int(delta >= orb.z1) + int(delta >= orb.z2)      # j_Delta
+        scan = _MergeScan(orb, list(self._history.arcs), delta + self.sigma)
+
+        def stop(arc, zeros):
+            # The arc that completes the merge window [z, z + 2tau] is the
+            # orbit's second arc after z. It ends one delay past the next zero,
+            # so it covers z_def and every zero up to it.
+            scan.chain.append(arc)
+            return scan.advance(zeros, arc.t_end) is not None
+
+        traj = _pulsed(params, orb, self._history, self.a, delta, self.sigma, stop=stop)
+        merged = scan.found or scan.finish(traj.zeros, traj.horizon)
         if merged is None:
             zs = tuple(z.t for z in traj.zeros)
             return CycleStats(case, math.inf, math.nan, math.nan, J, zs,
                               diagnostics={"zeros_seen": list(zs), "horizon": traj.horizon})
-
-        # first merge zero of the same phase as the reference zero z~_J; if the
-        # pulse sits exactly on an orbit zero the solution may rejoin half a swing
-        # early, in the opposite phase (then z~_{J-1} is the matching reference)
-        if merged.phase is _PHASE_OF_ZERO[J]:
-            z_def = merged.zero
-        else:
-            gap = orb.z1 - (-params.tau) if J == 1 else orb.z2 - orb.z1
-            z_def = merged.zero + gap
-        T_d = z_def - orbit_zeros[J]
-        lo = orbit_zeros[J]
+        z_def = self._z_def(merged, J)
+        lo = (-params.tau, orb.z1, orb.z2)[J]
         x_mn, x_mx = traj.breakpoint_extrema(lo, min(z_def, traj.horizon))
         zs = tuple(z.t for z in traj.zeros if lo < z.t <= z_def + 1e-12)
-        return CycleStats(case, T_d, x_mn, x_mx, J, zs)
+        return CycleStats(case, z_def - lo, x_mn, x_mx, J, zs)
+
+    def _z_def(self, merged: MergeInfo, J: int) -> float:
+        """The zero that ends the perturbed cycle: the first zero from the
+        merge on with the phase of the reference zero z~_J. After a merge in
+        the other phase it comes one half-swing later (z1 + tau after a
+        falling zero, z2 - z1 after a rising one).
+        """
+        if merged.phase is _PHASE_OF_ZERO[J]:
+            return merged.zero
+        orb = self.orbit
+        gap = orb.z1 - (-self.params.tau) if J == 1 else orb.z2 - orb.z1
+        return merged.zero + gap
 
 
 def thresholds(params: ModelParams, a: float, sigma: float) -> Thresholds:
@@ -377,20 +407,19 @@ def response_closed_form(params: ModelParams, pulse: PulseSpec) -> CycleStats:
     StandingHypothesisViolated otherwise (use response_simulated there).
     """
     check_pulse(params, pulse)
-    if not pulse.a < params.beta_u:
-        raise StandingHypothesisViolated(
-            f"closed forms need a < beta_U (a = {pulse.a}, beta_U = {params.beta_u})")
-    return PulseContext(params, pulse.a, pulse.sigma).response(pulse.delta).stats(0)
+    return PulseContext(params, pulse.a, pulse.sigma).stats(pulse.delta)
 
 
-def _pulsed(params: ModelParams, orb: PeriodicOrbit, a: float, delta: float,
-            sigma: float, horizon: Optional[float] = None) -> Trajectory:
+def _pulsed(params: ModelParams, orb: PeriodicOrbit, history: History, a: float,
+            delta: float, sigma: float, horizon: Optional[float] = None,
+            stop: Optional[StopHook] = None) -> Trajectory:
+    """The run from the orbit's min-phase ``history`` with the pulse on."""
     if not 0 <= delta < orb.period:
         raise OutOfDomainError(f"delta = {delta} outside [0, T = {orb.period})")
     if horizon is None:
         horizon = delta + sigma + merge_window(orb) + orb.period
     window = PulseWindow(a, delta, delta + sigma)
-    return evolve(params, orb.history_min_phase(), horizon, pulse=window)
+    return _evolve(params, history, horizon, window, None, stop)
 
 
 def pulsed_trajectory(params: ModelParams, pulse: PulseSpec,
@@ -398,7 +427,8 @@ def pulsed_trajectory(params: ModelParams, pulse: PulseSpec,
     """The pulsed solution x^(Delta): orbit history, pulse on [Delta, Delta+sigma]."""
     check_pulse(params, pulse)
     orb = _require_oscillatory(params)
-    return _pulsed(params, orb, pulse.a, pulse.delta, pulse.sigma, horizon), orb
+    return _pulsed(params, orb, orb.history_min_phase(), pulse.a, pulse.delta, pulse.sigma,
+                   horizon), orb
 
 
 _PHASE_OF_ZERO = {0: MergePhase.MIN, 1: MergePhase.MAX, 2: MergePhase.MIN}
@@ -412,5 +442,4 @@ def response_simulated(params: ModelParams, pulse: PulseSpec) -> CycleStats:
     (possible only for a >= beta_U).
     """
     check_pulse(params, pulse)
-    ctx = PulseContext(params, pulse.a, pulse.sigma)
-    return ctx.simulated(pulse.delta, ctx.case(pulse.delta))
+    return PulseContext(params, pulse.a, pulse.sigma).stats(pulse.delta, simulated=True)

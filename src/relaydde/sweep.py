@@ -78,7 +78,9 @@ def cycle_length_map(params: ModelParams, a: float, sigma: float, n_grid: int,
     """Closed-form stats on a uniform onset grid over [0, T).
 
     With ``simulated=True`` the columns come from the event-driven route
-    instead (needed beyond the standing hypothesis).
+    instead, a cross-check of the closed forms. Both routes need the
+    standing hypothesis a < beta_U (ValidationError ``amp_standing``
+    otherwise); single relaxed pulses go through response_simulated.
     """
     if n_grid < 16:
         raise ValidationError("grid_size", f"n_grid = {n_grid} must be >= 16")

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,16 @@ def random_z0_history(rng: np.random.Generator, tau: float) -> History:
         hist = _candidate_history(rng, tau)
         if hist.is_z0() and abs(hist.value(0.0)) > 1e-6:
             return hist
+
+
+def count_calls(monkeypatch, module, name, calls):
+    """Count calls of module.name made through any relaydde module holding it."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.partition(".")[0] == "relaydde" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)

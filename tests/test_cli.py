@@ -209,3 +209,61 @@ def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
     cli._parser.cache_clear()
     assert [run_cli(capsys, *argv) for argv in _SEQUENCE] == fresh
     assert len(builds) == 1
+
+
+_CLASSIFY = [
+    ("--preset", "p1", "--amp", "0.2", "--sigma", "0.4", "--delta", "0.1"),
+    ("--preset", "p2", "--amp", "0.2", "--sigma", "0.4", "--delta", "3.0"),
+    ("--preset", "p1", "--amp", "1.2", "--sigma", "0.4", "--delta", "2.5", "--relaxed"),
+    ("--preset", "p2", "--amp", "0.2", "--sigma", "0.4", "--delta", "1.0", "--relaxed"),
+    ("--preset", "p1", "--amp", "0.9", "--sigma", "0.4", "--delta", "0.1"),
+    ("--preset", "p1", "--amp", "0.2", "--sigma", "1.5", "--delta", "0.1"),
+    ("--preset", "p1", "--amp", "0.2", "--sigma", "0.4", "--delta", "-1"),
+    ("--preset", "p1", "--amp", "0.2", "--sigma", "0.4", "--delta", "100", "--relaxed"),
+    ("--tau", "1", "--beta-l", "-0.4", "--beta-u", "0.8", "--amp", "0.2",
+     "--sigma", "0.4", "--delta", "0.1"),
+]
+
+
+def test_classify_builds_one_orbit(capsys, monkeypatch):
+    """classify prints what thresholds() and the response functions give,
+    errors included, from one orbit."""
+    import relaydde
+    from conftest import count_calls
+    from relaydde import (PulseSpec, RelayDDEError, response_closed_form,
+                          response_simulated, thresholds)
+    calls = {"periodic_solution": 0}
+    count_calls(monkeypatch, relaydde.orbit, "periodic_solution", calls)
+    codes = []
+    for argv in _CLASSIFY:
+        args = cli._parser().parse_args(["classify", *argv])
+        try:
+            params = cli._params_from(args)
+            pulse = PulseSpec(args.amp, args.delta, args.sigma, relaxed=args.relaxed)
+            th = thresholds(params, args.amp, args.sigma)
+            respond = response_simulated if args.relaxed else response_closed_form
+            payload = respond(params, pulse).to_dict(args.delta)
+            payload["thresholds"] = {"delta1": th.delta1, "delta1_hat": th.delta1_hat,
+                                     "delta2": th.delta2, "delta_bar": th.delta_bar}
+            want = (0, cli._dump_json(payload) + "\n", "")
+        except RelayDDEError as exc:
+            want = (2, "", f"error: {exc}\n")
+        calls["periodic_solution"] = 0
+        assert run_cli(capsys, "classify", *argv) == want, argv
+        n = calls["periodic_solution"]
+        assert (n == 1 if want[0] == 0 else n <= 1), argv
+        codes.append(want[0])
+    assert codes == [0, 0, 0, 0, 2, 2, 2, 2, 2]
+
+
+def test_dump_json_floats_round_trip():
+    import numpy as np
+    xs = [5e-324, -5e-324, -0.0, 0.0, 0.1, 1 / 3, 1e308, 1.7976931348623157e308,
+          2.2250738585072014e-308, 123456789.12345678, -2.5e-17]
+    text = cli._dump_json({"x": xs, "np": [np.float64(x) for x in xs],
+                           "special": [math.inf, -math.inf, math.nan]})
+    assert text == json.dumps({"np": xs, "special": ["inf", "-inf", "nan"], "x": xs},
+                              indent=2, sort_keys=True)
+    back = json.loads(text)
+    assert [x.hex() for x in back["x"]] == [x.hex() for x in back["np"]] \
+        == [x.hex() for x in xs]

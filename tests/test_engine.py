@@ -164,3 +164,35 @@ def test_sample_equals_per_arc_loop(p1, orb1, spec):
             m = part & (ts >= arc.t_start) & (ts <= arc.t_end)
             want[m] = arc.c + arc.k * np.exp(-(ts[m] - arc.t_start))
     assert np.array_equal(traj.sample(ts), want)
+
+
+@pytest.mark.parametrize("spec", ["const", "orbit", "premax", "kink"])
+def test_value_and_extrema_equal_per_arc_scan(p1, orb1, spec):
+    rise = ExpArc(-1.0, -0.5, 1.0, -0.5)     # "kink": a maximum inside the history
+    hist = {"const": History.constant(1.0, 1.0), "orbit": orb1.history_min_phase(),
+            "premax": orb1.history_pre_max(),
+            "kink": History((rise, ExpArc(-0.5, 0.0, -0.8, rise.end_value + 0.8)))}[spec]
+    traj = evolve(p1, hist, 40.0)
+    chain = hist.arcs + traj.arcs
+    breaks = [a.t_start for a in chain] + [traj.horizon]
+    rng = np.random.default_rng(13)
+    ts = breaks + np.sort(rng.uniform(-1.0, traj.horizon, 2_000)).tolist()
+
+    def value(t):
+        # the first arc holding t: a breakpoint takes the earlier arc
+        arcs = hist.arcs if t <= 0 else traj.arcs
+        return next(a.value(t) for a in arcs if a.t_start <= t <= a.t_end)
+
+    assert [traj.value(t).hex() for t in ts] == [value(t).hex() for t in ts]
+    windows = np.sort(rng.uniform(-1.0, traj.horizon, (300, 2)), axis=1).tolist()
+    windows += [[lo, hi] for lo, hi in zip(breaks, breaks[1:])]
+    windows += [[breaks[i], breaks[j]] for i, j in np.sort(
+        rng.integers(0, len(breaks), (300, 2)), axis=1).tolist()]
+    for lo, hi in windows:
+        vals = [value(lo), value(hi)] + [a.value(t) for a in chain
+                                         for t in (a.t_start, a.t_end) if lo <= t <= hi]
+        want = (min(vals), max(vals))
+        assert [x.hex() for x in traj.breakpoint_extrema(lo, hi)] == [x.hex() for x in want]
+    for t in (traj.horizon + 1e-9, math.nan):
+        with pytest.raises(ValidationError):
+            traj.value(t)

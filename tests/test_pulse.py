@@ -8,7 +8,7 @@ from relaydde import (CaseCode, ModelParams, OutOfDomainError, PulseContext, Pul
                       case_cycle_length, case_sequence, classify, cycle_length_map,
                       periodic_solution, response_closed_form, response_simulated,
                       thresholds)
-from relaydde.pulse import CODES
+from relaydde.pulse import CODES, Case
 
 import _expected as exp
 from conftest import random_oscillatory
@@ -440,3 +440,108 @@ def test_array_path_rejects_fnfp_for_the_whole_call():
         ctx.response(onsets)
     with pytest.raises(OutOfDomainError):
         ctx.classify([0.1, ctx.orbit.period])
+
+
+# ------------------------------------- the simulated route stops at the merge
+
+def _full_horizon_simulated(params, a, sigma, delta, case):
+    """The simulated route from public calls: a run to the full horizon, one
+    merge search over its whole chain, extrema up to z_def."""
+    from relaydde import CycleStats, MergePhase, merge_time, pulsed_trajectory
+    traj, orb = pulsed_trajectory(params, PulseSpec(a, delta, sigma, relaxed=True))
+    J = int(delta >= orb.z1) + int(delta >= orb.z2)
+    ref = (-params.tau, orb.z1, orb.z2)[J]
+    merged = merge_time(traj, orb, t_free=delta + sigma)
+    if merged is None:
+        zs = tuple(z.t for z in traj.zeros)
+        return CycleStats(case, math.inf, math.nan, math.nan, J, zs,
+                          diagnostics={"zeros_seen": list(zs), "horizon": traj.horizon})
+    z_def = merged.zero
+    if merged.phase is not (MergePhase.MAX if J == 1 else MergePhase.MIN):
+        z_def += orb.z1 - (-params.tau) if J == 1 else orb.z2 - orb.z1
+    x_mn, x_mx = traj.breakpoint_extrema(ref, min(z_def, traj.horizon))
+    zs = tuple(z.t for z in traj.zeros if ref < z.t <= z_def + 1e-12)
+    return CycleStats(case, z_def - ref, x_mn, x_mx, J, zs)
+
+
+def _outcome(fn):
+    """Every field of a CycleStats, floats by repr, or the typed error."""
+    from relaydde import RelayDDEError
+    try:
+        st = fn()
+    except RelayDDEError as exc:
+        return type(exc).__name__, str(exc)
+    return (st.case, repr(st.T), repr(st.x_min), repr(st.x_max), st.J,
+            tuple(map(repr, st.zeros)), repr(st.diagnostics))
+
+
+#: relaxed setups whose runs end in T = inf or HorizonExhausted; the first two
+#: are the a -> beta_U merge defect of ROADMAP item 4
+_UNDECIDED = [
+    (ModelParams(1.194248598062565, 0.26050940086337315, 0.2161689777779397), 1 - 1e-9, 1e-3),
+    (ModelParams(0.2544, 50.44, 7.33e-4), 1 - 1e-9, 1.0),
+    (ModelParams(10.351702795234694, 5.871456158334371, 13.312064246902397), 2.5, 0.5),
+]
+
+
+def test_simulated_stop_equals_full_horizon_run(p1, p2):
+    """Stopping at the validated merge changes no field of any result."""
+    rng = np.random.default_rng(43)
+    setups = [(p1, A, SIGMA), (p2, A, SIGMA)]
+    setups += [random_pulse_setup(rng) for _ in range(6)]
+    # z1 + tau > 2 tau or z2 - z1 > 2 tau: after a merge in the other phase
+    # z_def lies past the check window, yet the stopped run must cover it
+    setups += [(ModelParams(0.3, 0.1, 1.9), 0.5, 0.2), (ModelParams(0.3, 1.9, 0.1), 0.05, 0.2)]
+    relaxed = [(params, f * params.beta_u, sigma) for params, _, sigma in setups[:2]
+               for f in (1.2, 2.5)]
+    relaxed += [(params, f * params.beta_u, g * params.tau) for params, f, g in _UNDECIDED]
+    seen = set()
+    for k, (params, a, sigma) in enumerate(setups + relaxed):
+        ctx = PulseContext(params, a, sigma)
+        T = ctx.orbit.period
+        n = 256 if k < len(setups) else 32
+        onsets = sorted({*(T * np.arange(n) / n).tolist(), *_pinned_onsets(params, a, sigma)})
+        code, rnrp2 = ctx.classify(onsets)
+        for d, c, s in zip(onsets, code.tolist(), rnrp2.tolist()):
+            case = Case.of(c, s)
+            got = _outcome(lambda: ctx.simulated(d, case))
+            assert got == _outcome(lambda: _full_horizon_simulated(params, a, sigma, d, case)), \
+                (k, d)
+            seen.add(got[0] if isinstance(got[0], str) else got[1] == "inf")
+    assert {"HorizonExhausted", True, False} <= seen, seen
+    # numpy-scalar onsets on both sides of z1 and z2 give the same values, J an int
+    for params, a, sigma in setups[:2]:
+        ctx = PulseContext(params, a, sigma)
+        z1, z2 = ctx.orbit.z1, ctx.orbit.z2
+        for d in (0.0, z1 - 0.1, z1, z1 + 0.1, z2 - 0.1, z2, z2 + 0.1):
+            want = ctx.simulated(d, ctx.case(d))
+            nd = np.float64(d)
+            for st in (ctx.simulated(nd, ctx.case(nd)), ctx.stats(nd, simulated=True),
+                       response_simulated(params, PulseSpec(a, nd, sigma))):
+                assert st == want and type(st.J) is int, d
+
+
+def test_merged_runs_end_before_the_full_horizon(monkeypatch, p1, p2):
+    import relaydde.pulse as pulse_mod
+    runs = []
+    evolve_ = pulse_mod._evolve
+
+    def recorded(*args):
+        runs.append((args[2], evolve_(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(pulse_mod, "_evolve", recorded)
+    cases = [(p1, A, SIGMA, d) for d in (0.1, 1.0, 2.3)]
+    cases += [(p2, A, SIGMA, d) for d in (0.5, 3.0)]
+    params, f, g = _UNDECIDED[0]
+    cases.append((params, f * params.beta_u, g * params.tau, 2.2604678636509097))
+    ends = []
+    for params, a, sigma, d in cases:
+        st = response_simulated(params, PulseSpec(a, d, sigma, relaxed=True))
+        horizon, traj = runs[-1]
+        if st.T == math.inf:     # no merge: the run still decides it at the full horizon
+            assert traj.horizon == horizon == st.diagnostics["horizon"]
+        else:
+            assert max(st.zeros) < traj.horizon < horizon, (d, traj.horizon, horizon)
+        ends.append(st.T == math.inf)
+    assert ends == [False] * 5 + [True]

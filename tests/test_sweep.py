@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from relaydde import (ModelParams, PulseSpec, ValidationError, classify,
 from relaydde.sweep import SweepRow, SweepTable
 
 import _expected as exp
-from conftest import random_oscillatory
+from conftest import count_calls, random_oscillatory
 
 A, SIGMA = 0.2, 0.4
 
@@ -129,6 +128,13 @@ def test_cycle_length_map_grid_validation(p1):
         cycle_length_map(p1, A, SIGMA, 8)
 
 
+def test_simulated_map_keeps_the_standing_hypothesis(p1):
+    for simulated in (False, True):
+        with pytest.raises(ValidationError) as exc:
+            cycle_length_map(p1, 0.9, SIGMA, 64, simulated=simulated)
+        assert exc.value.clause == "amp_standing"
+
+
 def test_case_boundaries_stable_under_refinement(p1):
     coarse = cycle_length_map(p1, A, SIGMA, 256)
     fine = cycle_length_map(p1, A, SIGMA, 512)
@@ -195,23 +201,10 @@ def test_left_limit_toward_period(p1, p2):
                             abs_tol=1e-12)
 
 
-def _count_calls(monkeypatch, module, name, calls):
-    """Count calls of module.name made through any relaydde module holding it."""
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls[name] += 1
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.partition(".")[0] == "relaydde" and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-
-
 def test_orbit_and_thresholds_built_once_per_map(monkeypatch, p1):
     calls = {"periodic_solution": 0, "thresholds": 0}
-    _count_calls(monkeypatch, relaydde.orbit, "periodic_solution", calls)
-    _count_calls(monkeypatch, relaydde.pulse, "thresholds", calls)
+    count_calls(monkeypatch, relaydde.orbit, "periodic_solution", calls)
+    count_calls(monkeypatch, relaydde.pulse, "thresholds", calls)
     counts = []
     for n in (256, 4096):
         calls.update(periodic_solution=0, thresholds=0)
