@@ -116,7 +116,8 @@ def chain_arrays(arcs: Iterable[ExpArc]) -> np.ndarray:
 def chain_values(chain: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Vectorized evaluation at sorted times of a chain given by chain_arrays().
 
-    A time on a breakpoint takes the later arc's value.
+    A time on a breakpoint takes the later arc's value. The span check reads
+    only the first and last time, so unsorted times must lie in the span.
     """
     t_start, t_end, c, k = chain
     lo, hi = t_start[0], t_end[-1]

@@ -2,8 +2,9 @@
 
 Subcommands: orbit, simulate, classify, sweep, therapy, threelevel, verify.
 Exit codes: 0 success, 2 validation error, 3 infeasible plan / failed verify.
-Floats are serialized with 17 significant digits so doubles round-trip
-exactly and output is byte-identical for identical flags.
+CSV columns write floats with 17 significant digits (.17g) and JSON writes
+each double's shortest repr; both round-trip every double exactly, and
+output is byte-identical for identical flags.
 """
 
 from __future__ import annotations
@@ -142,8 +143,9 @@ def _cmd_sweep(args) -> int:
     params = _params_from(args)
     table = cycle_length_map(params, args.amp, args.sigma, args.grid)
     if args.format == "json":
-        rows = [{"delta": r.delta, "case": r.case, "T": r.T,
-                 "xmin": r.x_min, "xmax": r.x_max} for r in table.rows]
+        cols = (table.delta.tolist(), table.cases(), table.T.tolist(),
+                table.x_min.tolist(), table.x_max.tolist())
+        rows = [dict(zip(("delta", "case", "T", "xmin", "xmax"), r)) for r in zip(*cols)]
         _write(_dump_json(rows), args.out)
     else:
         _write("\n".join(table.csv_lines()), args.out)

@@ -23,11 +23,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .arcs import ExpArc, History, _tie, chains_equal
+from .arcs import ExpArc, History, _tie, chain_arrays, chain_values, chains_equal
 from .engine import Trajectory, Zero
 from .exceptions import HorizonExhausted, RegimeError
 from .params import ModelParams, Regime, regime
@@ -72,8 +73,19 @@ class PeriodicOrbit:
                 return arc.value(s)
         return self.arcs[-1].value(s)
 
+    @cached_property
+    def chain(self) -> np.ndarray:
+        """The arcs as chain_arrays() rows."""
+        return chain_arrays(self.arcs)
+
     def sample(self, times: np.ndarray) -> np.ndarray:
-        return np.array([self.value(t) for t in np.asarray(times, dtype=float)])
+        """x~ at an array of times, reduced as in ``value``; a time on an arc
+        end takes the later arc."""
+        tau = self.params.tau
+        s = np.fmod(np.asarray(times, dtype=float) + tau, self.period)
+        s[s < 0] += self.period
+        s -= tau
+        return chain_values(self.chain, s)
 
     def zeros_in(self, lo: float, hi: float) -> list[float]:
         """Orbit zeros (z1 + nT and z2 + nT alike) inside [lo, hi]."""

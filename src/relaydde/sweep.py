@@ -10,15 +10,16 @@ decrease of the minimum around delta_bar inside FNFN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import ValidationError
-from .orbit import PeriodicOrbit, periodic_solution
+from .orbit import PeriodicOrbit
 from .params import ModelParams, PulseSpec, check_pulse
-from .pulse import CODES, Case, CaseCode, PulseContext, Thresholds, thresholds
+from .pulse import CODES, Case, CaseCode, PulseContext, Thresholds
 
 _TOL = 1e-12
 
@@ -55,22 +56,95 @@ class CaseInterval:
                 + ("]" if self.hi_closed else ")"))
 
 
-@dataclass(frozen=True)
+#: (case, sub) of every (code index, RNRP2 flag) pair
+_LABELS = {(c, s): (CODES[c].value, Case.of(c, s).sub)
+           for c in range(len(CODES)) for s in (False, True)}
+_CASE_NAMES = np.array([code.value for code in CODES], dtype=object)
+_COLUMNS = ("delta", "code", "rnrp2", "T", "x_min", "x_max")
+_FMT = "{:.17g}".format
+
+
+def _formatted(col: np.ndarray) -> list[str]:
+    """``.17g`` text of every entry, each distinct double formatted once.
+
+    Distinct means distinct bits, so 0.0 and -0.0 keep their own text. The
+    extrema columns repeat the orbit's value on about half the onsets.
+    """
+    _, first, inverse = np.unique(col.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    text = list(map(_FMT, col[first].tolist()))
+    return [text[i] for i in inverse.tolist()]
+
+
+@dataclass(frozen=True, eq=False)
 class SweepTable:
+    """The map on an onset grid, held as read-only columns (one entry per
+    onset): ``code`` indexes CODES and ``rnrp2`` marks RNRP onsets past
+    delta1_hat. ``rows`` views the columns as SweepRow records."""
+
     params: ModelParams
     a: float
     sigma: float
-    n_grid: int
-    rows: tuple[SweepRow, ...]
-    markers: dict = field(compare=False)
-    thresholds: Thresholds = field(compare=False, default=None)
-    orbit: PeriodicOrbit = field(compare=False, default=None)
+    delta: np.ndarray
+    code: np.ndarray
+    rnrp2: np.ndarray
+    T: np.ndarray
+    x_min: np.ndarray
+    x_max: np.ndarray
+    markers: dict
+    thresholds: Thresholds
+    orbit: PeriodicOrbit
+
+    def __post_init__(self):
+        for name in _COLUMNS:
+            col = np.asarray(getattr(self, name)).view()
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    @property
+    def n_grid(self) -> int:
+        return self.delta.size
+
+    @property
+    def rows(self) -> "SweepRows":
+        return SweepRows(self)
+
+    def cases(self) -> list[str]:
+        """The case code of every onset, as text."""
+        return _CASE_NAMES[self.code].tolist()
 
     def csv_lines(self) -> list[str]:
-        out = ["delta,case,T,xmin,xmax"]
-        for r in self.rows:
-            out.append(f"{r.delta:.17g},{r.case},{r.T:.17g},{r.x_min:.17g},{r.x_max:.17g}")
-        return out
+        cols = (list(map(_FMT, self.delta.tolist())), self.cases(),
+                list(map(_FMT, self.T.tolist())),
+                _formatted(self.x_min), _formatted(self.x_max))
+        return ["delta,case,T,xmin,xmax", *map(",".join, zip(*cols))]
+
+
+class SweepRows(Sequence):
+    """The rows of a SweepTable, built from its columns only when indexed
+    or iterated; ``len`` builds none."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: SweepTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return self._table.delta.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        t = self._table
+        return SweepRow(float(t.delta[i]), *_LABELS[int(t.code[i]), bool(t.rnrp2[i])],
+                        float(t.T[i]), float(t.x_min[i]), float(t.x_max[i]))
+
+    def __iter__(self):
+        t = self._table
+        labels = map(_LABELS.__getitem__, zip(t.code.tolist(), t.rnrp2.tolist()))
+        for d, (case, sub), T, lo, hi in zip(t.delta.tolist(), labels, t.T.tolist(),
+                                             t.x_min.tolist(), t.x_max.tolist()):
+            yield SweepRow(d, case, sub, T, lo, hi)
 
 
 def cycle_length_map(params: ModelParams, a: float, sigma: float, n_grid: int,
@@ -92,16 +166,11 @@ def cycle_length_map(params: ModelParams, a: float, sigma: float, n_grid: int,
         code, rnrp2 = ctx.classify(deltas)
         stats = [ctx.simulated(d, Case.of(c, s)) for d, c, s
                  in zip(deltas.tolist(), code.tolist(), rnrp2.tolist())]
-        cols = ([st.T for st in stats], [st.x_min for st in stats],
-                [st.x_max for st in stats])
+        T, x_min, x_max = (np.array([getattr(st, f) for st in stats], dtype=float)
+                           for f in ("T", "x_min", "x_max"))
     else:
         r = ctx.response(deltas)
-        code, rnrp2 = r.code, r.rnrp2
-        cols = (r.T.tolist(), r.x_min.tolist(), r.x_max.tolist())
-    cases = {(c, s): Case.of(c, s) for c in range(len(CODES)) for s in (False, True)}
-    labels = {key: (case.code.value, case.sub) for key, case in cases.items()}
-    rows = tuple(SweepRow(d, *labels[key], T, lo, hi) for d, key, T, lo, hi in zip(
-        deltas.tolist(), zip(code.tolist(), rnrp2.tolist()), *cols))
+        code, rnrp2, T, x_min, x_max = r.code, r.rnrp2, r.T, r.x_min, r.x_max
     # the map lives on [0, T); report the left limit toward T separately
     last, _ = ctx.classify(orb.period * (1 - 1e-9))
     t_left_limit = float(ctx.cycle_length(orb.period, CODES[last[0]]))
@@ -110,7 +179,8 @@ def cycle_length_map(params: ModelParams, a: float, sigma: float, n_grid: int,
                "T_minus_sigma": orb.period - sigma, "T": orb.period,
                "delta_bar": th.delta_bar, "delta1_hat": th.delta1_hat,
                "T_left_limit": t_left_limit}
-    return SweepTable(params, a, sigma, n_grid, rows, markers, th, orb)
+    return SweepTable(params, a, sigma, deltas, code, rnrp2, T, x_min, x_max,
+                      markers, th, orb)
 
 
 def case_sequence(params: ModelParams, a: float, sigma: float) -> list[CaseInterval]:
@@ -191,73 +261,65 @@ class MonotonicityReport:
                               for v in self.verdicts]}
 
 
-def _check_column(vals, base, verdict, claim, dbar_pos: Optional[int]) -> tuple[bool, str]:
+def _check_column(vals: np.ndarray, base: float, verdict: str, claim: int,
+                  dbar_pos: Optional[int]) -> tuple[bool, str]:
     if verdict == "U":
-        bad = [v for v in vals if v != base]
-        return (not bad, "exact-equality" if not bad else
+        bad = vals[vals != base]
+        return (not bad.size, "exact-equality" if not bad.size else
                 f"expected unchanged {base!r}, saw deviation up to "
-                f"{max(abs(v - base) for v in bad):.3g}")
-    if claim == +1 and any(v < base - _TOL for v in vals):
+                f"{max(abs(v - base) for v in bad.tolist()):.3g}")
+    if claim == +1 and (vals < base - _TOL).any():
         return False, "value fell below the unperturbed one"
-    if claim == -1 and any(v > base + _TOL for v in vals):
+    if claim == -1 and (vals > base + _TOL).any():
         return False, "value rose above the unperturbed one"
-    diffs = [b - a for a, b in zip(vals, vals[1:])]
-    if not diffs:
+    if vals.size < 2:
         return True, "single-row"
+    diffs = np.diff(vals)
+    up = bool((diffs > -_TOL).all() and vals[-1] > vals[0])
+    down = bool((diffs < _TOL).all() and vals[-1] < vals[0])
     if verdict == "I":
-        ok = all(d > -_TOL for d in diffs) and vals[-1] > vals[0]
-        return ok, "increasing" if ok else "not increasing"
+        return up, "increasing" if up else "not increasing"
     if verdict == "D":
-        ok = all(d < _TOL for d in diffs) and vals[-1] < vals[0]
-        return ok, "decreasing" if ok else "not decreasing"
+        return down, "decreasing" if down else "not decreasing"
     if verdict == "B":
         if dbar_pos is None or dbar_pos <= 0:
-            ok = all(d < _TOL for d in diffs) and vals[-1] < vals[0]
-            return ok, "decreasing (delta_bar left of interval)" if ok else "not decreasing"
-        if dbar_pos >= len(vals):
-            ok = all(d > -_TOL for d in diffs) and vals[-1] > vals[0]
-            return ok, "increasing (delta_bar right of interval)" if ok else "not increasing"
+            return down, "decreasing (delta_bar left of interval)" if down else "not decreasing"
+        if dbar_pos >= vals.size:
+            return up, "increasing (delta_bar right of interval)" if up else "not increasing"
         # diffs[dbar_pos - 1] straddles delta_bar and may go either way
-        up, down = diffs[:dbar_pos - 1], diffs[dbar_pos:]
-        ok = all(d > -_TOL for d in up) and all(d < _TOL for d in down)
+        ok = bool((diffs[:dbar_pos - 1] > -_TOL).all() and (diffs[dbar_pos:] < _TOL).all())
         return ok, "increase-then-decrease" if ok else "no turn at delta_bar"
     return False, f"unknown verdict {verdict}"
 
 
 def monotonicity_report(table: SweepTable) -> MonotonicityReport:
     """PASS iff every nonempty case interval matches the summary-table arrows."""
-    orb = table.orbit or periodic_solution(table.params)
-    th = table.thresholds or thresholds(table.params, table.a, table.sigma)
-    groups: list[tuple[str, list[SweepRow]]] = []
-    for row in table.rows:
-        if groups and groups[-1][0] == row.case:
-            groups[-1][1].append(row)
-        else:
-            groups.append((row.case, [row]))
+    orb, th = table.orbit, table.thresholds
+    cuts = [0, *(np.flatnonzero(np.diff(table.code)) + 1).tolist(), table.code.size]
     verdicts = []
     failures = []
-    for case_name, rows in groups:
-        code = CaseCode(case_name)
+    for lo, hi in zip(cuts, cuts[1:]):
+        code = CODES[table.code[lo]]
+        case_name = code.value
         if code not in _EXPECTED:
             failures.append(f"{case_name}: no summary-table column")
             continue
         exp = _EXPECTED[code]
         cols = {}
-        deltas = [r.delta for r in rows]
+        deltas = table.delta[lo:hi]
+        span = f"[{float(deltas[0]):.6g}, {float(deltas[-1]):.6g}]"
         dbar_pos = None
         if code is CaseCode.FNFN:
-            dbar_pos = sum(1 for d in deltas if d < th.delta_bar)
-        for name, vals, base, (verdict, claim) in (
-                ("xmin", [r.x_min for r in rows], orb.x_min, exp[0]),
-                ("xmax", [r.x_max for r in rows], orb.x_max, exp[1]),
-                ("T", [r.T for r in rows], orb.period, exp[2])):
-            ok, why = _check_column(vals, base, verdict, claim, dbar_pos)
+            dbar_pos = int(np.count_nonzero(deltas < th.delta_bar))
+        for name, col, base, (verdict, claim) in (
+                ("xmin", table.x_min, orb.x_min, exp[0]),
+                ("xmax", table.x_max, orb.x_max, exp[1]),
+                ("T", table.T, orb.period, exp[2])):
+            ok, why = _check_column(col[lo:hi], base, verdict, claim, dbar_pos)
             cols[name] = {"ok": ok, "detail": why}
             if not ok:
-                failures.append(f"{case_name}/{name}: {why} "
-                                f"(delta in [{deltas[0]:.6g}, {deltas[-1]:.6g}])")
-        iv = f"[{deltas[0]:.6g}, {deltas[-1]:.6g}]"
-        verdicts.append(IntervalVerdict(case_name, iv, len(rows), cols,
+                failures.append(f"{case_name}/{name}: {why} (delta in {span})")
+        verdicts.append(IntervalVerdict(case_name, span, hi - lo, cols,
                                         all(c["ok"] for c in cols.values())))
     return MonotonicityReport(passed=not failures, verdicts=tuple(verdicts),
                               failures=tuple(failures))

@@ -60,6 +60,20 @@ def test_extremum_placement(orb1):
     assert float(np.min(xs)) >= orb1.x_min - 1e-12
 
 
+def test_sample_agrees_with_value(p1, p2):
+    rng = np.random.default_rng(17)
+    for params in [p1, p2] + [random_oscillatory(rng) for _ in range(10)]:
+        orb = periodic_solution(params)
+        T = orb.period
+        ends = [arc.t_start for arc in orb.arcs] + [orb.arcs[-1].t_end]
+        ts = [x for n in range(-5, 6) for e in ends for t in (e + n * T,)
+              for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
+        ts += rng.uniform(-5 * T, 5 * T, 10_000).tolist()
+        want = np.array([orb.value(t) for t in ts])
+        got = orb.sample(np.array(ts))
+        assert (np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))).all()
+
+
 def test_symmetric_levels_mirror():
     params = ModelParams(tau=1.3, beta_l=0.7, beta_u=0.7)
     orb = periodic_solution(params)
