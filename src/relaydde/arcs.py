@@ -57,34 +57,38 @@ class ExpArc:
 
     def crossing(self, level: float = 0.0, lo: Optional[float] = None,
                  hi: Optional[float] = None, lo_guard: bool = True) -> Optional[float]:
-        """Time in (lo, hi] where the arc crosses ``level``, else None.
+        """Time in (lo, hi] where the arc crosses ``level``, else None; bounds
+        default to the arc span (see crossing_time)."""
+        return crossing_time(self.t_start, self.c, self.k, level,
+                             self.t_start if lo is None else lo,
+                             self.t_end if hi is None else hi, lo_guard)
 
-        Bounds default to the arc span. Crossings within the tie tolerance of
-        ``hi`` snap to ``hi``. With ``lo_guard`` (the default) crossings within
-        tolerance of ``lo`` are excluded as belonging to the preceding piece;
-        the solver passes lo_guard=False and deduplicates against already-seen
-        crossings itself, so a genuine crossing just past a segment boundary
-        is not lost. Raises NonTransversalArc for the identically-zero arc
-        when asked for level 0.
-        """
-        lo = self.t_start if lo is None else lo
-        hi = self.t_end if hi is None else hi
-        ceff = self.c - level
-        if ceff == 0.0:
-            if self.k == 0.0:
-                if level == 0.0:
-                    raise NonTransversalArc("arc is identically zero")
-                return None
-            return None  # approaches the level asymptotically, never attains it
-        r = -self.k / ceff
-        if r <= 0.0:
-            return None
-        t = self.t_start + math.log(r)
-        if abs(t - hi) <= _tie(hi):
-            t = hi
-        if t > hi or (t <= lo + _tie(lo) if lo_guard else t <= lo):
-            return None
-        return t
+
+def crossing_time(t0: float, c: float, k: float, level: float, lo: float, hi: float,
+                  lo_guard: bool = True) -> Optional[float]:
+    """Time in (lo, hi] where c + k*exp(-(t - t0)) crosses ``level``, else None.
+
+    Crossings within the tie tolerance of ``hi`` snap to ``hi``. With
+    ``lo_guard`` (the default) crossings within tolerance of ``lo`` are
+    excluded as belonging to the preceding piece; the solver passes
+    lo_guard=False and deduplicates against already-seen crossings itself, so
+    a genuine crossing just past a segment boundary is not lost. Raises
+    NonTransversalArc for the identically-zero arc when asked for level 0.
+    """
+    ceff = c - level
+    if ceff == 0.0:
+        if k == 0.0 and level == 0.0:
+            raise NonTransversalArc("arc is identically zero")
+        return None  # approaches the level asymptotically, or sits on it
+    r = -k / ceff
+    if r <= 0.0:
+        return None
+    t = t0 + math.log(r)
+    if abs(t - hi) <= TIE_EPS * max(1.0, abs(hi)):   # _tie(hi), inline on the hot path
+        t = hi
+    if t > hi or (t <= lo + _tie(lo) if lo_guard else t <= lo):
+        return None
+    return t
 
 
 def arc_zero(arc: ExpArc) -> Optional[float]:
@@ -144,23 +148,27 @@ def chains_equal(a: Iterable[ExpArc], b: Iterable[ExpArc],
     grid, with k re-anchored to the subinterval start; exact representation
     makes this a finite check.
     """
-    sa = [x for x in a if x.t_end > lo + _tie(lo) and x.t_start < hi - _tie(hi)]
-    sb = [x for x in b if x.t_end > lo + _tie(lo) and x.t_start < hi - _tie(hi)]
+    lo_in, hi_in = lo + _tie(lo), hi - _tie(hi)
+    sa = [x for x in a if x.t_end > lo_in and x.t_start < hi_in]
+    sb = [x for x in b if x.t_end > lo_in and x.t_start < hi_in]
     if not sa or not sb:
         return False
     pts = sorted({lo, hi}
                  | {p for x in sa for p in (x.t_start, x.t_end) if lo < p < hi}
                  | {p for x in sb for p in (x.t_start, x.t_end) if lo < p < hi})
     ia = ib = 0
+    tie_right = _tie(pts[0])
     for left, right in zip(pts[:-1], pts[1:]):
-        if right - left <= _tie(right):
+        tie_left, tie_right = tie_right, _tie(right)
+        if right - left <= tie_right:
             continue
-        while ia < len(sa) - 1 and sa[ia].t_end <= left + _tie(left):
+        left_in = left + tie_left
+        while ia < len(sa) - 1 and sa[ia].t_end <= left_in:
             ia += 1
-        while ib < len(sb) - 1 and sb[ib].t_end <= left + _tie(left):
+        while ib < len(sb) - 1 and sb[ib].t_end <= left_in:
             ib += 1
         aa, bb = sa[ia], sb[ib]
-        if aa.t_start > left + _tie(left) or bb.t_start > left + _tie(left):
+        if aa.t_start > left_in or bb.t_start > left_in:
             return False
         ka = aa.k * math.exp(-(left - aa.t_start))
         kb = bb.k * math.exp(-(left - bb.t_start))
@@ -226,14 +234,6 @@ class History:
 
     def values(self, times: np.ndarray) -> np.ndarray:
         return chain_values(self.chain, times)
-
-    def initial_sign(self) -> int:
-        """Sign of the history immediately after -tau (for the delayed branch)."""
-        first = self.arcs[0]
-        v, s = first.start_value, -first.k
-        if v != 0.0:
-            return 1 if v > 0 else -1
-        return 1 if s > 0 else -1
 
     def initial_branch(self, thresholds: tuple[float, ...]) -> int:
         first = self.arcs[0]

@@ -26,7 +26,7 @@ from .orbit import periodic_solution
 from .params import (ModelParams, PulseSpec, RawParams, Regime, check_pulse,
                      nondimensionalize, regime)
 from .pulse import PulseContext
-from .sweep import case_sequence, cycle_length_map, monotonicity_report
+from .sweep import _case_intervals, cycle_length_map, monotonicity_report
 from .therapy import TherapyInput, apply_plan, plan
 from .threelevel import ThreeLevelParams, three_level_pulse, undershoot_threshold
 
@@ -149,7 +149,7 @@ def _cmd_sweep(args) -> int:
         _write(_dump_json(rows), args.out)
     else:
         _write("\n".join(table.csv_lines()), args.out)
-    seq = case_sequence(params, args.amp, args.sigma)
+    seq = _case_intervals(table.orbit, table.thresholds, table.sigma)
     report = monotonicity_report(table)
     payload = {
         "cases": [{"case": iv.code.value, "interval": iv.label()} for iv in seq],

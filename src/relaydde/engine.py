@@ -26,7 +26,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .arcs import ExpArc, History, _branch_after, _tie, chain_arrays, chain_values
+from .arcs import (TIE_EPS, ExpArc, History, _branch_after, _tie, chain_arrays, chain_values,
+                   crossing_time)
 from .exceptions import ValidationError
 from .params import ModelParams
 
@@ -175,22 +176,12 @@ class _Run:
         self.crossings: list[tuple[float, int, bool]] = []
         self.last_seen: dict[int, float] = {}            # threshold -> last crossing time
 
-    def push_edge(self, t: float) -> None:
-        heapq.heappush(self.events, (t, 0, -1))
-
-    def push_switch(self, t: float, branch: int) -> None:
-        heapq.heappush(self.events, (t, 1, branch))
-
-    def seen(self, s: float, i: int) -> bool:
-        return s - self.last_seen.get(i, -math.inf) <= 2 * _tie(s)
-
     def book(self, s: float, i: int, up: bool) -> None:
         self.last_seen[i] = s
         self.crossings.append((s, i, up))
-        if self.fb.thresholds[i] == 0.0 and s > _tie(1.0):
+        if self.fb.thresholds[i] == 0.0 and s > TIE_EPS:
             self.zeros.append(Zero(s, up))
-        after = i + 1 if up else i
-        self.push_switch(s + self.tau, after)
+        heapq.heappush(self.events, (s + self.tau, 1, i + 1 if up else i))
 
 
 def evolve(params: ModelParams, history: History, horizon: float,
@@ -227,12 +218,13 @@ def _evolve(params: ModelParams, history: History, horizon: float,
     tau = params.tau
     run = _Run(fb, tau)
 
+    events, last_seen, levels = run.events, run.last_seen, fb.levels
     if pulse is not None:
-        run.push_edge(pulse.t_on)
-        run.push_edge(pulse.t_off)
+        heapq.heappush(events, (pulse.t_on, 0, -1))
+        heapq.heappush(events, (pulse.t_off, 0, -1))
     branch = history.initial_branch(thresholds)
     for tm, b in history.branch_markers(thresholds):
-        run.push_switch(tm + tau, b)
+        heapq.heappush(events, (tm + tau, 1, b))
 
     t, x = 0.0, history.value(0.0)
     arcs: list[ExpArc] = []
@@ -247,50 +239,51 @@ def _evolve(params: ModelParams, history: History, horizon: float,
 
     t_last = horizon - _tie(horizon)
     while t < t_last:
-        tie_t = _tie(t)
-        while run.events and run.events[0][0] <= t + tie_t:
-            _, _, b = heapq.heappop(run.events)
+        tie_t = TIE_EPS * max(1.0, abs(t))   # _tie(t), inline: once per arc
+        while events and events[0][0] <= t + tie_t:
+            _, _, b = heapq.heappop(events)
             if b >= 0:
                 branch = b
-        level = fb.levels[branch]
+        level = levels[branch]
         if pulse is not None and pulse.t_on - tie_t <= t < pulse.t_off - tie_t:
             level += pulse.a
-        seg_end = min(run.events[0][0], horizon) if run.events else horizon
-        probe = ExpArc(t, seg_end + 1.0, level, x - level)
+        k = x - level      # the arc from t is level + k*exp(-(s - t))
+        seg_end = min(events[0][0], horizon) if events else horizon
 
         if touch is not None:
             t0, ti, before = touch
-            after = _branch_after(thresholds[ti], -probe.k, thresholds)
+            after = _branch_after(thresholds[ti], -k, thresholds)
             if after != before:
                 run.book(t0, ti, up=after > before)
                 seg_end = min(seg_end, t0 + tau)
             else:
-                run.last_seen[ti] = t0   # grazing contact: suppress re-detection
+                last_seen[ti] = t0   # grazing contact: suppress re-detection
             touch = None
 
         lo = t
         while True:
             nxt = None
             for i, th in enumerate(thresholds):
-                s = probe.crossing(th, lo, seg_end, lo_guard=False)
-                if s is not None and not run.seen(s, i) \
+                s = crossing_time(t, level, k, th, lo, seg_end, lo_guard=False)
+                # a crossing within two ties of the last one booked is that one
+                if s is not None and not (s - last_seen.get(i, -math.inf) <= 2 * _tie(s)) \
                         and (nxt is None or s < nxt[0]):
                     nxt = (s, i)
             if nxt is None:
                 break
             s1, i1 = nxt
             if s1 >= seg_end - _tie(seg_end):
-                touch = (seg_end, i1, i1 if probe.k < 0 else i1 + 1)
+                touch = (seg_end, i1, i1 if k < 0 else i1 + 1)
                 break
-            run.book(s1, i1, up=probe.rising)
+            run.book(s1, i1, up=k < 0)
             seg_end = min(seg_end, s1 + tau)
             lo = s1
 
-        arc = ExpArc(t, seg_end, level, x - level)
+        arc = ExpArc(t, seg_end, level, k)
         arcs.append(arc)
         if stop is not None and stop(arc, run.zeros):
             break
-        x = arc.end_value
+        x = level + k * math.exp(-(seg_end - t))   # arc.end_value
         t = seg_end
 
     run.zeros.sort(key=lambda z: z.t)

@@ -169,10 +169,12 @@ class _MergeScan:
 
     def __init__(self, orbit: PeriodicOrbit, chain: list[ExpArc], t_free: float):
         self.orbit, self.chain, self.t_free = orbit, chain, t_free
+        self._free_from = t_free - _tie(t_free)
         self.found: Optional[MergeInfo] = None
         self.done = 0      # zeros checked, or skipped as earlier than t_free
         self.first = 0     # chain arcs before this one end before the next zero
-        # the next zero to check: time, phase, expected arcs, window end and its tie
+        # the next zero to check: time, phase, expected arcs, window end, its
+        # tie, and the bounds z + tie(z) and end - tie(end) of the arcs it keeps
         self._next: Optional[tuple] = None
 
     def advance(self, zeros: Sequence[Zero], covered: float,
@@ -187,22 +189,24 @@ class _MergeScan:
         while self.found is None and self.done < len(zeros):
             if self._next is None:
                 zero = zeros[self.done]
-                if zero.t < self.t_free - _tie(self.t_free):
+                if zero.t < self._free_from:
                     self.done += 1
                     continue
                 phase = MergePhase.MAX if zero.up else MergePhase.MIN
                 first, second = _expected_arcs(self.orbit, zero.t, phase)
                 end = min(second.t_end, zero.t + 2 * tau)
-                self._next = (zero.t, phase, (first, second), end, _tie(end))
-            z, phase, expected, end, tie_end = self._next
-            if end > covered + tie_end or (not final and covered < end - tie_end):
+                tie_end = _tie(end)
+                self._next = (zero.t, phase, (first, second), end, tie_end,
+                              zero.t + _tie(zero.t), end - tie_end)
+            z, phase, expected, end, tie_end, z_in, end_in = self._next
+            if end > covered + tie_end or (not final and covered < end_in):
                 return None
             # the arcs chains_equal keeps on [z, end]: the chain is sorted
             chain, i = self.chain, self.first
-            while i < len(chain) and chain[i].t_end <= z + _tie(z):
+            while i < len(chain) and chain[i].t_end <= z_in:
                 i += 1
             self.first = j = i
-            while j < len(chain) and chain[j].t_start < end - tie_end:
+            while j < len(chain) and chain[j].t_start < end_in:
                 j += 1
             if chains_equal(chain[i:j], expected, z, end, tol=1e-10):
                 self.found = MergeInfo(zero=z, phase=phase)

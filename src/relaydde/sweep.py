@@ -186,7 +186,11 @@ def cycle_length_map(params: ModelParams, a: float, sigma: float, n_grid: int,
 def case_sequence(params: ModelParams, a: float, sigma: float) -> list[CaseInterval]:
     """Nonempty onset intervals in left-endpoint order, partitioning [0, T)."""
     ctx = PulseContext(params, a, sigma)
-    orb, th = ctx.orbit, ctx.thresholds
+    return _case_intervals(ctx.orbit, ctx.thresholds, sigma)
+
+
+def _case_intervals(orb: PeriodicOrbit, th: Thresholds, sigma: float) -> list[CaseInterval]:
+    """case_sequence() from an orbit and its onset thresholds already built."""
     t_max, z1, z2, T = orb.t_max, orb.z1, orb.z2, orb.period
     d1, d2 = th.delta1, th.delta2
     iv: list[CaseInterval] = []

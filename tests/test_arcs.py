@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from relaydde import (ExpArc, History, IdenticallyZeroHistory, NonTransversalArc,
                       ValidationError, arc_zero)
+from relaydde.arcs import TIE_EPS, crossing_time
 
 
 def test_arc_zero_example():
@@ -73,6 +74,69 @@ def test_level_crossing():
     assert arc.crossing(1.5) is None    # above the asymptote
 
 
+def _outcome(crossing):
+    try:
+        t = crossing()
+    except NonTransversalArc:
+        return "raises"
+    return None if t is None else t.hex()
+
+
+@given(t0=st.floats(-50.0, 50.0), span=st.floats(1e-3, 20.0),
+       c=st.sampled_from([0.0, 0.7, -0.4]) | st.floats(-3.0, 3.0),
+       k=st.sampled_from([0.0, 1.0, -2.0]) | st.floats(-3.0, 3.0),
+       level=st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-3.0, 3.0),
+       lo_at=st.sampled_from(["default", "start", "cross"]),
+       hi_at=st.sampled_from(["default", "end", "cross"]),
+       nudge=st.integers(-4, 4), lo_guard=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_crossing_time_is_arc_crossing(t0, span, c, k, level, lo_at, hi_at, nudge, lo_guard):
+    # bounds sit on the span ends or on the crossing itself, up to +-2 ties
+    # off, so snapping to hi and exclusion at lo both get exercised
+    arc = ExpArc(t0, t0 + span, c, k)
+    r = -k / (c - level) if c != level else 0.0
+    cross = t0 + math.log(r) if r > 0 else t0 + span / 2
+    place = {"start": t0, "end": t0 + span, "cross": cross}
+
+    def bound(at, default):
+        if at == "default":
+            return None, default
+        x = place[at]
+        x += nudge * 0.5 * TIE_EPS * max(1.0, abs(x))
+        return x, x
+
+    lo, lo_val = bound(lo_at, t0)
+    hi, hi_val = bound(hi_at, t0 + span)
+    assert _outcome(lambda: arc.crossing(level, lo, hi, lo_guard)) \
+        == _outcome(lambda: crossing_time(t0, c, k, level, lo_val, hi_val, lo_guard))
+
+
+def test_crossing_time_rules():
+    # x = 1 - 2 e^{-t} crosses 0 at ln 2
+    t = math.log(2.0)
+    tie = TIE_EPS * max(1.0, t)
+    assert crossing_time(0.0, 1.0, -2.0, 0.0, 0.0, 5.0) == t
+    # within a tie below or above hi: snapped to hi
+    for hi in (t + 0.5 * tie, t - 0.5 * tie):
+        assert crossing_time(0.0, 1.0, -2.0, 0.0, 0.0, hi) == hi
+    assert crossing_time(0.0, 1.0, -2.0, 0.0, 0.0, t - 2 * tie) is None
+    # within a tie above lo: excluded with the guard, kept without it
+    lo = t - 0.5 * tie
+    assert crossing_time(0.0, 1.0, -2.0, 0.0, lo, 5.0) is None
+    assert crossing_time(0.0, 1.0, -2.0, 0.0, lo, 5.0, lo_guard=False) == t
+    # exactly at lo: excluded either way
+    assert crossing_time(0.0, 1.0, -2.0, 0.0, t, 5.0) is None
+    assert crossing_time(0.0, 1.0, -2.0, 0.0, t, 5.0, lo_guard=False) is None
+    # r <= 0: no crossing, including the constant arc off the level
+    assert crossing_time(0.0, 1.0, 2.0, 0.0, 0.0, 5.0) is None
+    assert crossing_time(0.0, 0.7, 0.0, 0.0, 0.0, 5.0) is None
+    # on the level: never attained, unless the arc is identically zero
+    assert crossing_time(0.0, 0.5, 1.0, 0.5, 0.0, 5.0) is None
+    assert crossing_time(0.0, 0.5, 0.0, 0.5, 0.0, 5.0) is None
+    with pytest.raises(NonTransversalArc):
+        crossing_time(0.0, 0.0, 0.0, 0.0, 0.0, 5.0)
+
+
 def test_history_validation():
     with pytest.raises(ValidationError) as exc:
         History((ExpArc(-1.0, -0.5, 1.0, 0.0), ExpArc(-0.5, 0.0, 2.0, 0.0)))
@@ -95,7 +159,6 @@ def test_history_zeros_and_z0():
     zs = hist.zeros()
     assert len(zs) == 1 and math.isclose(zs[0], math.log(2.0) - 1.0, abs_tol=1e-14)
     assert hist.is_z0()
-    assert hist.initial_sign() == -1
 
     # grazing contact at an interior breakpoint: falls to 0, rises back
     down = ExpArc(-2.0, -1.0, -1.0, math.exp(1.0))    # ends at -1 + e*e^{-1} = 0

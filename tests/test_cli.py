@@ -256,6 +256,56 @@ def test_classify_builds_one_orbit(capsys, monkeypatch):
     assert codes == [0, 0, 0, 0, 2, 2, 2, 2, 2]
 
 
+_SWEEP = [
+    ("--preset", "p1", "--amp", "0.2", "--sigma", "0.4", "--grid", "64"),
+    ("--preset", "p2", "--amp", "0.2", "--sigma", "0.4", "--grid", "64", "--format", "json"),
+    ("--preset", "p1", "--amp", "0.2", "--sigma", "1", "--grid", "32"),
+    ("--tau", "2", "--beta-l", "0.3", "--beta-u", "1.1", "--amp", "0.5",
+     "--sigma", "0.7", "--grid", "48"),
+    ("--preset", "p1", "--amp", "0.9", "--sigma", "0.4", "--grid", "64"),
+    ("--preset", "p1", "--amp", "0.2", "--sigma", "1.5", "--grid", "64"),
+    ("--preset", "p1", "--amp", "0.2", "--sigma", "0.4", "--grid", "8"),
+]
+
+
+def test_sweep_builds_one_orbit(capsys, monkeypatch):
+    """sweep prints what cycle_length_map, case_sequence and
+    monotonicity_report give, errors included, from one orbit."""
+    import relaydde
+    from conftest import count_calls
+    from relaydde import (RelayDDEError, case_sequence, cycle_length_map,
+                          monotonicity_report)
+    calls = {"periodic_solution": 0}
+    count_calls(monkeypatch, relaydde.orbit, "periodic_solution", calls)
+    codes = []
+    for argv in _SWEEP:
+        args = cli._parser().parse_args(["sweep", *argv])
+        try:
+            table = cycle_length_map(cli._params_from(args), args.amp, args.sigma, args.grid)
+            seq = case_sequence(table.params, args.amp, args.sigma)
+            if args.format == "json":
+                rows = [{"delta": r.delta, "case": r.case, "T": r.T,
+                         "xmin": r.x_min, "xmax": r.x_max} for r in table.rows]
+                text = cli._dump_json(rows)
+            else:
+                text = "\n".join(table.csv_lines())
+            payload = {
+                "cases": [{"case": iv.code.value, "interval": iv.label()} for iv in seq],
+                "sequence": [iv.code.value for iv in seq],
+                "markers": table.markers,
+                "monotonicity": monotonicity_report(table).to_dict(),
+            }
+            want = (0, text + "\n" + cli._dump_json(payload) + "\n", "")
+        except RelayDDEError as exc:
+            want = (2, "", f"error: {exc}\n")
+        calls["periodic_solution"] = 0
+        assert run_cli(capsys, "sweep", *argv) == want, argv
+        n = calls["periodic_solution"]
+        assert (n == 1 if want[0] == 0 else n <= 1), argv
+        codes.append(want[0])
+    assert codes == [0, 0, 0, 0, 2, 2, 2]
+
+
 def test_dump_json_floats_round_trip():
     import numpy as np
     xs = [5e-324, -5e-324, -0.0, 0.0, 0.1, 1 / 3, 1e308, 1.7976931348623157e308,

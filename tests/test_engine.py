@@ -132,6 +132,47 @@ def test_arcs_json_roundtrip(p1):
     assert arcs == traj.arcs
 
 
+def test_identically_zero_arc_raises_typed(p1):
+    # the history falls to exactly 0 at t = 0 while the active level is 0,
+    # so the first arc is x = 0: no crossing time exists
+    from relaydde import FeedbackTable, NonTransversalArc
+    hist = History((ExpArc(-1.0, 0.0, -math.exp(-1.0), 1.0),))
+    assert hist.value(0.0) == 0.0
+    with pytest.raises(NonTransversalArc):
+        evolve(p1, hist, 5.0, feedback=FeedbackTable((0.0,), (0.4, 0.0)))
+
+
+def test_one_arc_built_per_emitted_arc(p1, orb1, monkeypatch):
+    # the engine builds only the arcs it emits, and the merge scan only the
+    # two expected orbit arcs of each zero it checks
+    from relaydde import engine, orbit, pulse
+    built = {"engine": 0, "orbit": 0}
+
+    def counting(where):
+        class Counted(ExpArc):
+            def __post_init__(self):
+                built[where] += 1
+                super().__post_init__()
+        return Counted
+
+    monkeypatch.setattr(engine, "ExpArc", counting("engine"))
+    monkeypatch.setattr(orbit, "ExpArc", counting("orbit"))
+    hist = orb1.history_min_phase()
+    for delta in np.linspace(0.0, orb1.period, 13, endpoint=False).tolist():
+        built.update(engine=0, orbit=0)
+        scan = orbit._MergeScan(orb1, list(hist.arcs), delta + 0.4)
+
+        def stop(arc, zeros):
+            scan.chain.append(arc)
+            return scan.advance(zeros, arc.t_end) is not None
+
+        traj = pulse._pulsed(p1, orb1, hist, 0.2, delta, 0.4, stop=stop)
+        assert scan.found is not None
+        assert built["engine"] == len(traj.arcs)
+        checked = [z for z in traj.zeros[:scan.done] if z.t >= scan._free_from]
+        assert checked and built["orbit"] == 2 * len(checked)
+
+
 def test_horizon_validation(p1):
     with pytest.raises(ValidationError):
         evolve(p1, History.constant(1.0, 1.0), 0.0)
