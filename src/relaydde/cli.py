@@ -26,7 +26,7 @@ from .orbit import periodic_solution
 from .params import (ModelParams, PulseSpec, RawParams, Regime, check_pulse,
                      nondimensionalize, regime)
 from .pulse import PulseContext
-from .sweep import _case_intervals, cycle_length_map, monotonicity_report
+from .sweep import cycle_length_map, monotonicity_report
 from .therapy import TherapyInput, apply_plan, plan
 from .threelevel import ThreeLevelParams, three_level_pulse, undershoot_threshold
 
@@ -149,11 +149,10 @@ def _cmd_sweep(args) -> int:
         _write(_dump_json(rows), args.out)
     else:
         _write("\n".join(table.csv_lines()), args.out)
-    seq = _case_intervals(table.orbit, table.thresholds, table.sigma)
     report = monotonicity_report(table)
     payload = {
-        "cases": [{"case": iv.code.value, "interval": iv.label()} for iv in seq],
-        "sequence": [iv.code.value for iv in seq],
+        "cases": [{"case": iv.code.value, "interval": iv.label()} for iv in table.partition],
+        "sequence": [iv.code.value for iv in table.partition],
         "markers": table.markers,
         "monotonicity": report.to_dict(),
     }

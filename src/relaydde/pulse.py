@@ -9,10 +9,11 @@ quantities are also measured from an event-driven simulation, which is the
 route of record when the standing hypothesis a < beta_U fails.
 
 The response is a function of the onset: a PulseContext holds what depends
-only on (params, a, sigma) -- the orbit and the thresholds -- and classifies
-and evaluates whole arrays of onsets. The scalar entry points are its
-length-1 views. All case formulas evaluate exponentials of bounded time
-differences (exp-space zero identities), finishing with a single logarithm.
+only on (params, a, sigma) -- the orbit, the thresholds and the partition of
+[0, T) into case intervals -- and classifies and evaluates whole arrays of
+onsets. The scalar entry points are its length-1 views. All case formulas
+evaluate exponentials of bounded time differences (exp-space zero
+identities), finishing with a single logarithm.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -119,6 +121,36 @@ class Responses:
                           tuple(self.zeros[:self.n_zeros[i], i].tolist()))
 
 
+@dataclass(frozen=True)
+class CaseInterval:
+    """The onsets of one case: from lo to hi, each end in or out."""
+
+    code: CaseCode
+    lo: float
+    hi: float
+    lo_closed: bool
+    hi_closed: bool
+
+    def contains(self, d: float) -> bool:
+        if d < self.lo or d > self.hi:
+            return False
+        if d == self.lo and not self.lo_closed:
+            return False
+        if d == self.hi and not self.hi_closed:
+            return False
+        return True
+
+    def label(self) -> str:
+        return (("[" if self.lo_closed else "(") + f"{self.lo:.6g}, {self.hi:.6g}"
+                + ("]" if self.hi_closed else ")"))
+
+
+def _end(x: float, closed: bool) -> tuple[float, float, bool]:
+    """An interval's upper end, led by the first double it excludes so that
+    ends compare as tuples."""
+    return (math.nextafter(x, math.inf) if closed else x, x, closed)
+
+
 def _j_delta(orb: PeriodicOrbit, delta):
     """j_Delta: how many of the orbit zeros z1, z2 lie at or before the onset."""
     return np.searchsorted((orb.z1, orb.z2), delta, side="right")
@@ -169,36 +201,60 @@ class PulseContext:
                                    f"[0, T = {self.orbit.period})")
         return d
 
+    @cached_property
+    def _intervals(self) -> tuple[tuple[CaseCode, tuple, tuple], ...]:
+        """(case, end before, end) of each nonempty case interval of [0, T),
+        in onset order, by the rule of ``classify``."""
+        orb, th, sigma = self.orbit, self.thresholds, self.sigma
+        z1, z2, t_max, T, d2 = orb.z1, orb.z2, orb.t_max, orb.period, th.delta2
+        ends = (
+            (CaseCode.RNRN, min(_end(th.delta1, False), _end(z1, False))),
+            (CaseCode.RNRP, _end(z1, False)),
+            (CaseCode.RPRP, min(_end(t_max - sigma, True), _end(t_max, False))),
+            (CaseCode.RPFP, min(_end(d2, True), _end(t_max, False))),
+            (CaseCode.RPFN, _end(t_max, False)),
+            (CaseCode.FPFP, min(_end(d2, True), _end(z2, True))),
+            (CaseCode.FPFN, _end(z2, True)),
+            (CaseCode.FNFP, min(_end(d2, True), _end(T - sigma, False))),
+            (CaseCode.FNFN, _end(T - sigma, False)),
+            (CaseCode.FNRN, min(_end(T + th.delta1, False), _end(T, False))),
+            (CaseCode.FNRP, _end(T, False)),
+        )
+        out, start = [], _end(0.0, False)
+        for code, end in ends:
+            if end[0] > start[0]:   # the interval holds a double
+                out.append((code, start, end))
+                start = end
+        return tuple(out)
+
+    @cached_property
+    def partition(self) -> tuple[CaseInterval, ...]:
+        """The nonempty case intervals of [0, T) in onset order; each starts
+        where the one before it ends."""
+        return tuple(CaseInterval(code, lo, hi, not lo_out, hi_in)
+                     for code, (_, lo, lo_out), (_, hi, hi_in) in self._intervals)
+
+    @cached_property
+    def _cuts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first double past each interval of the partition, and its case."""
+        return (np.array([end[0] for _, _, end in self._intervals]),
+                np.array([_IX[code] for code, _, _ in self._intervals]))
+
     def classify(self, deltas) -> tuple[np.ndarray, np.ndarray]:
         """Case indices into CODES and the RNRP2 flag of each onset.
 
-        Interval endpoints follow the case definitions exactly: [0, delta1) is
-        RNRN when delta1 > 0; [max(0, delta1), z1) RNRP; [z1, tmax - sigma] RPRP;
-        (tmax - sigma, tmax) RPF{P:delta <= delta2, N:else}; [tmax, z2] FPF*;
-        (z2, T - sigma) FNF*; [T - sigma, T) FNR{N:delta < T + delta1, P:else}.
-        The onset t_max itself is in the falling phase.
+        Each case has one upper end, the least of the bounds its letters put
+        on the onset, and ends compare by the first double they exclude. An
+        onset's case is the first case in onset order whose end lies above
+        it; so t_max is in the falling phase. ``partition`` holds the
+        resulting intervals; RNRP2 is RNRP past delta1_hat.
         """
         return self._classify(self._onsets(deltas))
 
     def _classify(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        orb, th = self.orbit, self.thresholds
-        # the decision tree bottom-up: a later assignment overrides an earlier one
-        code = np.full(d.shape, _IX[CaseCode.FNRP])
-        code[d < orb.period + th.delta1] = _IX[CaseCode.FNRN]
-        fn = d < orb.period - self.sigma
-        code[fn] = _IX[CaseCode.FNFP]
-        code[fn & (d > th.delta2)] = _IX[CaseCode.FNFN]
-        fp = d <= orb.z2
-        code[fp] = _IX[CaseCode.FPFN]
-        code[fp & (d <= th.delta2)] = _IX[CaseCode.FPFP]
-        rising = d < orb.t_max
-        code[rising] = _IX[CaseCode.RPFN]
-        code[rising & (d <= th.delta2)] = _IX[CaseCode.RPFP]
-        code[rising & (d <= orb.t_max - self.sigma)] = _IX[CaseCode.RPRP]
-        early = rising & (d < orb.z1)
-        code[early] = _IX[CaseCode.RNRP]
-        code[early & (d < th.delta1)] = _IX[CaseCode.RNRN]   # so delta1 > d >= 0
-        rnrp2 = (code == _IX[CaseCode.RNRP]) & (d > th.delta1_hat)
+        cuts, codes = self._cuts
+        code = codes[np.searchsorted(cuts, d, side="right")]
+        rnrp2 = (code == _IX[CaseCode.RNRP]) & (d > self.thresholds.delta1_hat)
         return code, rnrp2
 
     def case(self, delta: float) -> Case:

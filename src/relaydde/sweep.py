@@ -1,6 +1,6 @@
 """Dense onset sweeps of the cycle length map and Tables-style verification.
 
-Case boundaries come from the analytic thresholds; the grid only validates.
+Case intervals are read from PulseContext.partition; the grid only validates.
 The monotonicity report checks, per nonempty case interval, the expected
 behaviour of the cycle minimum, maximum and length against the summary-table
 arrows: U (unchanged, exact equality), strictly increasing or decreasing,
@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .orbit import PeriodicOrbit
 from .params import ModelParams, PulseSpec, check_pulse
-from .pulse import CODES, Case, CaseCode, PulseContext, Thresholds
+from .pulse import CODES, Case, CaseCode, CaseInterval, PulseContext, Thresholds
 
 _TOL = 1e-12
 
@@ -32,28 +32,6 @@ class SweepRow:
     T: float
     x_min: float
     x_max: float
-
-
-@dataclass(frozen=True)
-class CaseInterval:
-    code: CaseCode
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
-
-    def contains(self, d: float) -> bool:
-        if d < self.lo or d > self.hi:
-            return False
-        if d == self.lo and not self.lo_closed:
-            return False
-        if d == self.hi and not self.hi_closed:
-            return False
-        return True
-
-    def label(self) -> str:
-        return (("[" if self.lo_closed else "(") + f"{self.lo:.6g}, {self.hi:.6g}"
-                + ("]" if self.hi_closed else ")"))
 
 
 #: (case, sub) of every (code index, RNRP2 flag) pair
@@ -80,7 +58,8 @@ def _formatted(col: np.ndarray) -> list[str]:
 class SweepTable:
     """The map on an onset grid, held as read-only columns (one entry per
     onset): ``code`` indexes CODES and ``rnrp2`` marks RNRP onsets past
-    delta1_hat. ``rows`` views the columns as SweepRow records."""
+    delta1_hat. ``rows`` views the columns as SweepRow records;
+    ``partition`` holds the case intervals of [0, T)."""
 
     params: ModelParams
     a: float
@@ -94,6 +73,7 @@ class SweepTable:
     markers: dict
     thresholds: Thresholds
     orbit: PeriodicOrbit
+    partition: tuple[CaseInterval, ...]
 
     def __post_init__(self):
         for name in _COLUMNS:
@@ -172,57 +152,19 @@ def cycle_length_map(params: ModelParams, a: float, sigma: float, n_grid: int,
         r = ctx.response(deltas)
         code, rnrp2, T, x_min, x_max = r.code, r.rnrp2, r.T, r.x_min, r.x_max
     # the map lives on [0, T); report the left limit toward T separately
-    last, _ = ctx.classify(orb.period * (1 - 1e-9))
-    t_left_limit = float(ctx.cycle_length(orb.period, CODES[last[0]]))
+    t_left_limit = float(ctx.cycle_length(orb.period, ctx.partition[-1].code))
     markers = {"delta1": th.delta1, "z1": orb.z1, "tmax_minus_sigma": orb.t_max - sigma,
                "delta2": th.delta2, "tmax": orb.t_max, "z2": orb.z2,
                "T_minus_sigma": orb.period - sigma, "T": orb.period,
                "delta_bar": th.delta_bar, "delta1_hat": th.delta1_hat,
                "T_left_limit": t_left_limit}
     return SweepTable(params, a, sigma, deltas, code, rnrp2, T, x_min, x_max,
-                      markers, th, orb)
+                      markers, th, orb, ctx.partition)
 
 
 def case_sequence(params: ModelParams, a: float, sigma: float) -> list[CaseInterval]:
     """Nonempty onset intervals in left-endpoint order, partitioning [0, T)."""
-    ctx = PulseContext(params, a, sigma)
-    return _case_intervals(ctx.orbit, ctx.thresholds, sigma)
-
-
-def _case_intervals(orb: PeriodicOrbit, th: Thresholds, sigma: float) -> list[CaseInterval]:
-    """case_sequence() from an orbit and its onset thresholds already built."""
-    t_max, z1, z2, T = orb.t_max, orb.z1, orb.z2, orb.period
-    d1, d2 = th.delta1, th.delta2
-    iv: list[CaseInterval] = []
-
-    def add(code, lo, hi, lc, hc):
-        if hi > lo or (hi == lo and lc and hc):
-            iv.append(CaseInterval(code, lo, hi, lc, hc))
-
-    if d1 > 0:
-        add(CaseCode.RNRN, 0.0, min(d1, z1), True, False)
-    add(CaseCode.RNRP, max(0.0, d1), z1, True, False)
-    add(CaseCode.RPRP, z1, t_max - sigma, True, True)
-    add(CaseCode.RPFP, t_max - sigma, min(t_max, d2), False, d2 < t_max)
-    if d2 < t_max:
-        add(CaseCode.RPFN, d2, t_max, False, False)
-        add(CaseCode.FPFN, t_max, z2, True, True)
-    else:
-        add(CaseCode.FPFP, t_max, min(d2, z2), True, True)
-        if d2 < z2:
-            add(CaseCode.FPFN, d2, z2, False, True)
-    if d2 > z2:   # relaxed mode: a >= beta_U
-        add(CaseCode.FNFP, z2, min(d2, T - sigma), False, d2 < T - sigma)
-        add(CaseCode.FNFN, min(max(d2, z2), T - sigma), T - sigma, False, False)
-    else:
-        add(CaseCode.FNFN, z2, T - sigma, False, False)
-    # with sigma == tau, T - sigma is z2, which belongs to the FP cases
-    lo_r = max(T - sigma, z2)
-    add(CaseCode.FNRN, lo_r, min(T, T + d1), lo_r > z2, False)
-    if d1 < 0:   # d1 < -sigma only in relaxed mode; clamp to keep the partition
-        lo = max(T + d1, lo_r)
-        add(CaseCode.FNRP, lo, T, lo > z2, False)
-    return iv
+    return list(PulseContext(params, a, sigma).partition)
 
 
 #: expected per-case behaviour: (min, max, T) verdicts plus above/below claims.

@@ -260,6 +260,7 @@ _SWEEP = [
     ("--preset", "p1", "--amp", "0.2", "--sigma", "0.4", "--grid", "64"),
     ("--preset", "p2", "--amp", "0.2", "--sigma", "0.4", "--grid", "64", "--format", "json"),
     ("--preset", "p1", "--amp", "0.2", "--sigma", "1", "--grid", "32"),
+    ("--preset", "p2", "--amp", "0.2", "--sigma", "1", "--grid", "32"),
     ("--tau", "2", "--beta-l", "0.3", "--beta-u", "1.1", "--amp", "0.5",
      "--sigma", "0.7", "--grid", "48"),
     ("--preset", "p1", "--amp", "0.9", "--sigma", "0.4", "--grid", "64"),
@@ -303,7 +304,7 @@ def test_sweep_builds_one_orbit(capsys, monkeypatch):
         n = calls["periodic_solution"]
         assert (n == 1 if want[0] == 0 else n <= 1), argv
         codes.append(want[0])
-    assert codes == [0, 0, 0, 0, 2, 2, 2]
+    assert codes == [0, 0, 0, 0, 0, 2, 2, 2]
 
 
 def test_dump_json_floats_round_trip():

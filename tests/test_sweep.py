@@ -78,20 +78,51 @@ def test_partition_covers_domain(p1, orb1):
         assert owner[0].code is code
 
 
+def _assert_one_owner_each(ivs, onsets, codes):
+    for d, code in zip(onsets, codes):
+        owner = [iv for iv in ivs if iv.contains(d)]
+        assert len(owner) == 1, (d, [iv.code.value for iv in owner])
+        assert owner[0].code is code, d
+
+
+def _end_neighbours(ivs, period):
+    """Every interval end below T with the doubles on either side of it."""
+    ends = {e for iv in ivs for e in (iv.lo, iv.hi)}
+    near = {x for e in ends for x in (math.nextafter(e, -math.inf), e,
+                                      math.nextafter(e, math.inf))}
+    return sorted(x for x in near if 0.0 <= x < period)
+
+
 @pytest.mark.parametrize("a, sigma", [(0.2, 0.4), (0.79, 1.0), (2.0, 0.5), (8.0, 1.0)])
 @pytest.mark.parametrize("preset", ["p1", "p2"])
 def test_partition_owns_each_onset_once(request, preset, a, sigma):
     # a >= beta_U can put T + delta1 below T - sigma, and sigma = tau puts
-    # T - sigma on z2: neither may give an onset two intervals
+    # T - sigma on z2 and t_max - sigma within ulps of z1: neither may give
+    # an onset two intervals
     params = request.getfixturevalue(preset)
     period = periodic_solution(params).period
     ivs = case_sequence(params, a, sigma)
-    ends = {e for iv in ivs for e in (iv.lo, iv.hi) if e < period}
-    for d in [period * i / 4096 for i in range(4096)] + sorted(ends):
-        owner = [iv for iv in ivs if iv.contains(d)]
-        assert len(owner) == 1, (d, [iv.code.value for iv in owner])
-        code = classify(params, PulseSpec(a, d, sigma, relaxed=True)).code
-        assert owner[0].code is code, d
+    onsets = [period * i / 4096 for i in range(4096)] + _end_neighbours(ivs, period)
+    codes = [classify(params, PulseSpec(a, d, sigma, relaxed=True)).code for d in onsets]
+    _assert_one_owner_each(ivs, onsets, codes)
+
+
+def test_partition_owns_each_onset_once_random_sigma_tau():
+    # sigma == tau rounds t_max - sigma and T - sigma to within ulps of z1
+    # and z2, where two case bounds meet
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        params = random_oscillatory(rng)
+        a = float(rng.uniform(0.05, 3.0)) * params.beta_u
+        ctx = PulseContext(params, a, params.tau)
+        period = ctx.orbit.period
+        ivs = case_sequence(params, a, params.tau)
+        for iv in ivs:   # every listed interval holds a double
+            first = iv.lo if iv.lo_closed else math.nextafter(iv.lo, math.inf)
+            assert first < iv.hi or (first == iv.hi and iv.hi_closed), iv
+        onsets = [period * i / 512 for i in range(512)] + _end_neighbours(ivs, period)
+        code, _ = ctx.classify(onsets)
+        _assert_one_owner_each(ivs, onsets, [CODES[c] for c in code.tolist()])
 
 
 def test_threshold_equivalences_random():
