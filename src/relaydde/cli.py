@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-star", type=float, required=True)
     p.add_argument("--amp", type=float, required=True)
     p.add_argument("--find-tau0", action="store_true",
-                   help="also bisect the smallest undershooting tau")
+                   help="also give the smallest undershooting tau (closed form)")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(fn=_cmd_threelevel)
 

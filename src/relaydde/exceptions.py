@@ -57,7 +57,7 @@ class MismatchedExperiment(RelayDDEError):
 
 
 class NoUndershoot(RelayDDEError):
-    """Undershoot bisection found no sign change over the search bracket."""
+    """Every tau > 0 undershoots, so no positive threshold tau0 exists."""
 
 
 class DomainError(RelayDDEError):

@@ -282,6 +282,9 @@ class PulseContext:
         if code in (CaseCode.RPRP, CaseCode.RPFP, CaseCode.FPFP):
             return T + np.log1p(es / bu * np.exp(d - z2))
         if code in (CaseCode.RPFN, CaseCode.FPFN):
+            if not a < bu:
+                raise StandingHypothesisViolated(
+                    f"case {code.value} formula needs a < beta_U (a = {a}, beta_U = {bu})")
             return T + np.log1p(
                 -es / bl * np.exp(d - z1 - T)
                 - a * (bl + bu) * math.exp(-z1) / (bl * (bu - a)) * np.expm1(d - z2))

@@ -15,6 +15,16 @@ four checkpoint values have closed forms:
     e^{z1 - t*}   = (a + beta_L e^-tau) / (a + beta_L)     (t*: xi upcrossing)
     x(t* + tau)   = -beta_U + (x(z1 + tau) + beta_U) e^{z1 - t*}
     x(z1 + 2 tau) = -beta* + (x(t* + tau) + beta*) e^{t* - z1} e^-tau
+
+Substituting them, with E = e^-tau, the undershoot gap is
+
+    g(tau) = x(z1 + 2 tau) - x_min = (1 - E) h(E) / (a + beta_L E),
+    h(E)   = (beta_L + a) E (a + beta_L E) - (beta* - beta_U) a.
+
+On 0 < E < 1, h is strictly increasing and h(0) < 0, so g changes sign at
+most once, from positive (short tau) to negative (long tau), and does so
+exactly when h(1) = (beta_L + a)^2 - (beta* - beta_U) a > 0. The threshold
+tau0 = -log E0 is then the root E0 in (0, 1) of the quadratic h.
 """
 
 from __future__ import annotations
@@ -103,42 +113,23 @@ def simulate_pulse(p: ThreeLevelParams, a: float,
     return traj, orb
 
 
-def _undershoot_gap(p: ThreeLevelParams, a: float, tau: float) -> float:
-    trial = ThreeLevelParams(ModelParams(tau, p.base.beta_l, p.base.beta_u),
-                             p.beta_star)
-    r = three_level_pulse(trial, a)
-    return r.x_at_z1_2tau - r.xmin_base
-
-
-def undershoot_threshold(p: ThreeLevelParams, a: float,
-                         bracket: tuple[float, float] = (1e-3, 1e3),
-                         tol: float = 1e-6) -> float:
+def undershoot_threshold(p: ThreeLevelParams, a: float) -> float:
     """Smallest tau at which x(z1 + 2 tau) drops below the cycle minimum.
 
-    Scans a log grid for the first sign change of the gap, then bisects it
-    to ``tol``. Raises NoUndershoot when the gap never changes sign on the
-    bracket (not expected while beta* > beta_U).
+    The module docstring's gap g(tau) has the sign of the quadratic
+    h(E) = A E^2 + B E - C in E = e^-tau, with A = beta_L (beta_L + a),
+    B = a (beta_L + a) and C = (beta* - beta_U) a, all positive. Its one
+    positive root E0 = 2C / (B + sqrt(B^2 + 4AC)) (the form without
+    cancellation) gives tau0 = -log E0. The base delay p.base.tau plays no
+    part. Raises NoUndershoot when tau0 is not positive, i.e. when
+    (beta_L + a)^2 <= (beta* - beta_U) a and every tau > 0 undershoots.
     """
     if not a > 0:
         raise DomainError(f"amplitude a = {a} must be > 0")
-    lo, hi = bracket
-    n = 512
-    taus = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
-    g_prev = _undershoot_gap(p, a, taus[0])
-    span = None
-    for tau in taus[1:]:
-        g = _undershoot_gap(p, a, tau)
-        if g_prev >= 0 > g:
-            span = (taus[taus.index(tau) - 1], tau)
-            break
-        g_prev = g
-    if span is None:
-        raise NoUndershoot(f"no sign change of the undershoot gap on {bracket}")
-    t_lo, t_hi = span
-    while t_hi - t_lo > tol:
-        mid = 0.5 * (t_lo + t_hi)
-        if _undershoot_gap(p, a, mid) >= 0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return 0.5 * (t_lo + t_hi)
+    bl, bu = p.base.beta_l, p.base.beta_u
+    A, B, C = bl * (bl + a), a * (bl + a), (p.beta_star - bu) * a
+    tau0 = -math.log(2 * C / (B + math.sqrt(B * B + 4 * A * C)))
+    if not tau0 > 0:
+        raise NoUndershoot(f"every tau > 0 undershoots: (beta_L + a)^2 <= "
+                           f"(beta* - beta_U) a (tau0 = {tau0})")
+    return tau0

@@ -138,7 +138,7 @@ def test_threelevel(capsys):
     jsonschema.validate(payload, _schema("threelevel.json"))
     assert math.isclose(payload["x_z1_2tau"], exp.TL_X_Z1_2TAU, abs_tol=1e-12)
     assert payload["undershoot"] is True
-    assert math.isclose(payload["tau0"], exp.TL_TAU0_BSTAR2, abs_tol=2e-6)
+    assert math.isclose(payload["tau0"], exp.TL_TAU0_BSTAR2, rel_tol=1e-13)
 
 
 def test_verify_preset(capsys):

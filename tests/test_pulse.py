@@ -335,6 +335,17 @@ def test_standing_hypothesis_errors():
         response_closed_form(params, PulseSpec(0.95, 2.2, 0.4, relaxed=True))
 
 
+def test_rpfn_fpfn_formula_needs_a_below_beta_u(p1):
+    # 1/(beta_U - a) in the RPFN/FPFN formula: a typed error at and above
+    # beta_U, never a ZeroDivisionError or a meaningless value
+    assert p1.beta_u == 0.8
+    for a in (0.8, 0.9):
+        for code in (CaseCode.RPFN, CaseCode.FPFN):
+            with pytest.raises(StandingHypothesisViolated):
+                case_cycle_length(p1, a, 0.4, 1.5, code)
+    assert math.isfinite(case_cycle_length(p1, 0.79, 0.4, 1.5, CaseCode.FPFN))
+
+
 def test_relaxed_fnfp_simulation():
     params = ModelParams(1.0, 0.3, 0.6)
     orb = periodic_solution(params)

@@ -1,9 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from relaydde import (DomainError, FeedbackTable, ModelParams, PulseSpec,
+from relaydde import (DomainError, FeedbackTable, ModelParams, NoUndershoot, PulseSpec,
                       PulseWindow, RegimeError, ThreeLevelParams, evolve,
                       periodic_solution, response_closed_form, simulate_pulse,
                       three_level_pulse, undershoot_threshold)
@@ -115,7 +116,7 @@ def test_degenerate_third_level_equals_two_level():
 
 def test_tau0_bisection():
     tau0 = undershoot_threshold(P3, 0.6)
-    assert abs(tau0 - exp.TL_TAU0_BSTAR2) <= 2e-6
+    assert math.isclose(tau0, exp.TL_TAU0_BSTAR2, rel_tol=1e-13)
     for d, want in ((-0.01, False), (+0.01, True)):
         trial = ThreeLevelParams(ModelParams(tau0 + d, 0.4, 0.8), 2.0)
         assert three_level_pulse(trial, 0.6).undershoot == want
@@ -142,9 +143,86 @@ def test_tau0_monotone_in_beta_star():
     t09 = undershoot_threshold(ThreeLevelParams(BASE5, 0.9), 0.6)
     t10 = undershoot_threshold(ThreeLevelParams(BASE5, 1.0), 0.6)
     t20 = undershoot_threshold(ThreeLevelParams(BASE5, 2.0), 0.6)
-    assert abs(t09 - exp.TL_TAU0_BSTAR09) <= 2e-6
-    assert abs(t10 - exp.TL_TAU0_BSTAR1) <= 2e-6
+    assert math.isclose(t09, exp.TL_TAU0_BSTAR09, rel_tol=1e-13)
+    assert math.isclose(t10, exp.TL_TAU0_BSTAR1, rel_tol=1e-13)
     assert t09 > t10 > t20   # weaker suppression needs a longer delay
+
+
+
+def _decimal_gap(bl, bu, bs, a, tau):
+    """x(z1 + 2 tau) - x_min from the module docstring's checkpoints, in
+    45-digit decimal; x_min = -beta_U (1 - e^-tau) is the orbit minimum."""
+    bl, bu, bs, a = (Decimal(v) for v in (bl, bu, bs, a))
+    E = (-tau).exp()
+    x_top = (bl + a) * (1 - E)
+    q = (a + bl * E) / (a + bl)
+    x_mid = -bu + (x_top + bu) * q
+    x_deep = -bs + (x_mid + bs) * E / q
+    return x_deep + bu * (1 - E)
+
+
+def _decimal_tau0(bl, bu, bs, a):
+    """Bisect the decimal gap from positive (short tau) to negative."""
+    with localcontext() as ctx:
+        ctx.prec = 45
+        lo = hi = Decimal(1)
+        while _decimal_gap(bl, bu, bs, a, lo) <= 0:
+            lo /= 2
+        while _decimal_gap(bl, bu, bs, a, hi) >= 0:
+            hi *= 2
+        while hi - lo > hi * Decimal("1e-30"):
+            mid = (lo + hi) / 2
+            if _decimal_gap(bl, bu, bs, a, mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+def test_tau0_matches_decimal_bisection():
+    rng = np.random.default_rng(83)
+    # (base, a, fraction of the span): wide amplitudes make B^2 >> 4AC,
+    # where -B + sqrt(B^2 + 4AC) cancels; the last setup is the extreme one
+    setups = [(random_oscillatory(rng),
+               float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3)))),
+               float(rng.uniform(0.05, 0.95))) for _ in range(60)]
+    setups.append((ModelParams(1.0, 0.1, 0.5), 1e4, 0.05))
+    for base, a, frac in setups:
+        span = (base.beta_l + a) ** 2 / a          # undershoot needs beta* - beta_U < span
+        bs = base.beta_u + frac * span
+        tau0 = undershoot_threshold(ThreeLevelParams(base, bs), a)
+        want = _decimal_tau0(base.beta_l, base.beta_u, bs, a)
+        assert math.isclose(tau0, want, rel_tol=1e-13), (base, bs, a)
+
+
+def test_tau0_below_the_old_search_bracket():
+    # close to the boundary the threshold is short; the closed form still
+    # returns it. tau0 is proportional to the distance of beta* from the
+    # boundary here, so one ulp of beta* moves it by about 3e-13 relative
+    a = 0.6
+    bs = 0.8 + 0.999 * (0.4 + a) ** 2 / a
+    tau0 = undershoot_threshold(ThreeLevelParams(BASE5, bs), a)
+    assert 0 < tau0 < 1e-3
+    assert math.isclose(tau0, _decimal_tau0(0.4, 0.8, bs, a), rel_tol=1e-12)
+
+
+def test_no_undershoot_beyond_the_boundary():
+    a = 0.6
+    edge = 0.8 + (0.4 + a) ** 2 / a                # h(1) = 0: beta* - beta_U = span
+    with pytest.raises(NoUndershoot):
+        undershoot_threshold(ThreeLevelParams(BASE5, 1.01 * edge), a)
+    bs = edge
+    for _ in range(10):
+        bs = math.nextafter(bs, math.inf)
+    outcomes = set()
+    for _ in range(20):
+        try:
+            assert undershoot_threshold(ThreeLevelParams(BASE5, bs), a) > 0
+            outcomes.add("tau0")
+        except NoUndershoot:
+            outcomes.add("none")
+        bs = math.nextafter(bs, 0.0)
+    assert outcomes == {"tau0", "none"}            # the walk crosses the boundary
 
 
 def test_full_simulation_minimum_below_base():
