@@ -2,9 +2,9 @@
 
 Subcommands: orbit, simulate, classify, sweep, therapy, threelevel, verify.
 Exit codes: 0 success, 2 validation error, 3 infeasible plan / failed verify.
-CSV columns write floats with 17 significant digits (.17g) and JSON writes
-each double's shortest repr; both round-trip every double exactly, and
-output is byte-identical for identical flags.
+CSV columns write floats with 17 significant digits (.17g, computed for whole
+columns at once) and JSON writes each double's shortest repr; both round-trip
+every double exactly, and output is byte-identical for identical flags.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import oracle
 from .arcs import History
 from .engine import PulseWindow, evolve
-from .exceptions import PlanInfeasible, RelayDDEError
+from .exceptions import PlanInfeasible, RelayDDEError, ValidationError
 from .orbit import periodic_solution
 from .params import (ModelParams, PulseSpec, RawParams, Regime, check_pulse,
                      nondimensionalize, regime)
@@ -51,6 +51,31 @@ def _dump_json(obj) -> str:
             return int(o)
         return o
     return json.dumps(enc(obj), indent=2, sort_keys=True)
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def _zeros_json(zeros) -> str:
+    """_dump_json({"zeros": [{"t": z.t, "up": z.up}, ...]}) for finite float
+    times, without json's pure-Python indenting encoder."""
+    if not zeros:
+        return '{\n  "zeros": []\n}'
+    body = ",\n".join([f'    {{\n      "t": {z.t!r},\n      "up": {_JSON_BOOL[z.up]}\n    }}'
+                       for z in zeros])
+    return '{\n  "zeros": [\n' + body + '\n  ]\n}'
+
+
+def _check_samples(n: int) -> None:
+    if n < 0:
+        raise ValidationError("samples_nonnegative", f"samples = {n} must be >= 0")
+
+
+def _trajectory_csv(traj, n: int) -> str:
+    """``t,x`` CSV of the trajectory at n evenly spaced times on [-tau, horizon]."""
+    from ._csv import csv_text    # on first use, not at package import
+    ts = np.linspace(-traj.params.tau, traj.horizon, n)
+    return csv_text("t,x", (ts, traj.sample(ts)))
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -106,6 +131,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_samples(args.samples)
     params = _params_from(args)
     hist = _history_from(args.history, params)
     pulse = None
@@ -118,10 +144,8 @@ def _cmd_simulate(args) -> int:
         # exact arc-chain export; plain repr floats round-trip exactly
         _write(traj.arcs_json(), args.out)
     else:
-        lines = ["t,x"] + [f"{t:.17g},{x:.17g}" for t, x in traj.csv_rows(args.samples)]
-        _write("\n".join(lines), args.out)
-    zeros = {"zeros": [{"t": z.t, "up": z.up} for z in traj.zeros]}
-    _write(_dump_json(zeros), args.zeros_out)
+        _write(_trajectory_csv(traj, args.samples), args.out)
+    _write(_zeros_json(traj.zeros), args.zeros_out)
     return 0
 
 
@@ -148,7 +172,7 @@ def _cmd_sweep(args) -> int:
         rows = [dict(zip(("delta", "case", "T", "xmin", "xmax"), r)) for r in zip(*cols)]
         _write(_dump_json(rows), args.out)
     else:
-        _write("\n".join(table.csv_lines()), args.out)
+        _write(table.csv_text(), args.out)
     report = monotonicity_report(table)
     payload = {
         "cases": [{"case": iv.code.value, "interval": iv.label()} for iv in table.partition],
@@ -161,6 +185,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_therapy(args) -> int:
+    _check_samples(args.samples)
     params = _params_from(args)
     hist = _history_from(args.history, params)
     inp = TherapyInput(params=params, sigma=args.sigma, x_d=args.x_d, history=hist)
@@ -172,9 +197,7 @@ def _cmd_therapy(args) -> int:
         payload["achieved_min"] = outcome.achieved_min
         payload["achieved_period"] = outcome.achieved_period
         if args.trajectory_out:
-            lines = ["t,x"] + [f"{t:.17g},{x:.17g}"
-                               for t, x in outcome.trajectory.csv_rows(args.samples)]
-            _write("\n".join(lines), args.trajectory_out)
+            _write(_trajectory_csv(outcome.trajectory, args.samples), args.trajectory_out)
     else:
         payload["achieved_min"] = None
         payload["achieved_period"] = None

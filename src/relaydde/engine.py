@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -145,11 +145,6 @@ class Trajectory:
                     vals.append(arc.value(tt))
         return min(vals), max(vals)
 
-    def csv_rows(self, n: int) -> Iterable[tuple[float, float]]:
-        ts = np.linspace(-self.params.tau, self.horizon, n)
-        xs = self.sample(ts)
-        return zip(ts.tolist(), xs.tolist())
-
     def arcs_json(self) -> str:
         """Arc chain as JSON; plain repr floats round-trip exactly."""
         return json.dumps([{"t_start": a.t_start, "t_end": a.t_end, "c": a.c, "k": a.k}
@@ -210,6 +205,8 @@ def _evolve(params: ModelParams, history: History, horizon: float,
     then are the same floats a run to the full horizon emits."""
     if not horizon > 0:
         raise ValidationError("horizon_positive", f"horizon = {horizon} must be > 0")
+    if horizon == math.inf:
+        raise ValidationError("horizon_finite", "horizon = inf must be finite")
     if abs(history.tau - params.tau) > _tie(params.tau):
         raise ValidationError("history_tau", f"history spans tau = {history.tau}, "
                                              f"params say {params.tau}")

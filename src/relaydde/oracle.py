@@ -42,11 +42,6 @@ class DenseTrajectory:
     zeros: np.ndarray       # refined crossing times with t > 0
     zero_dirs: np.ndarray   # +1 upward, -1 downward
 
-    def csv_rows(self, n: int):
-        """(t, x) rows at the requested resolution, same schema as the engine."""
-        ts = np.linspace(self.t[0], self.t[-1], n)
-        return zip(ts.tolist(), np.interp(ts, self.t, self.x).tolist())
-
 
 def _rk4_a(h: float) -> float:
     return 1.0 + h * (-1.0 + h * (0.5 + h * (-1.0 / 6.0 + h / 24.0)))

@@ -38,20 +38,8 @@ class SweepRow:
 _LABELS = {(c, s): (CODES[c].value, Case.of(c, s).sub)
            for c in range(len(CODES)) for s in (False, True)}
 _CASE_NAMES = np.array([code.value for code in CODES], dtype=object)
+_CASE_BYTES = _CASE_NAMES.astype("S")
 _COLUMNS = ("delta", "code", "rnrp2", "T", "x_min", "x_max")
-_FMT = "{:.17g}".format
-
-
-def _formatted(col: np.ndarray) -> list[str]:
-    """``.17g`` text of every entry, each distinct double formatted once.
-
-    Distinct means distinct bits, so 0.0 and -0.0 keep their own text. The
-    extrema columns repeat the orbit's value on about half the onsets.
-    """
-    _, first, inverse = np.unique(col.view(np.int64), return_index=True,
-                                  return_inverse=True)
-    text = list(map(_FMT, col[first].tolist()))
-    return [text[i] for i in inverse.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +81,11 @@ class SweepTable:
         """The case code of every onset, as text."""
         return _CASE_NAMES[self.code].tolist()
 
-    def csv_lines(self) -> list[str]:
-        cols = (list(map(_FMT, self.delta.tolist())), self.cases(),
-                list(map(_FMT, self.T.tolist())),
-                _formatted(self.x_min), _formatted(self.x_max))
-        return ["delta,case,T,xmin,xmax", *map(",".join, zip(*cols))]
+    def csv_text(self) -> str:
+        """The rows as CSV text with a header line, floats as ``.17g``."""
+        from ._csv import csv_text    # on first use, not at package import
+        return csv_text("delta,case,T,xmin,xmax",
+                        (self.delta, _CASE_BYTES[self.code], self.T, self.x_min, self.x_max))
 
 
 class SweepRows(Sequence):

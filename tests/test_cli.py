@@ -289,7 +289,7 @@ def test_sweep_builds_one_orbit(capsys, monkeypatch):
                          "xmin": r.x_min, "xmax": r.x_max} for r in table.rows]
                 text = cli._dump_json(rows)
             else:
-                text = "\n".join(table.csv_lines())
+                text = table.csv_text()
             payload = {
                 "cases": [{"case": iv.code.value, "interval": iv.label()} for iv in seq],
                 "sequence": [iv.code.value for iv in seq],
@@ -318,3 +318,82 @@ def test_dump_json_floats_round_trip():
     back = json.loads(text)
     assert [x.hex() for x in back["x"]] == [x.hex() for x in back["np"]] \
         == [x.hex() for x in xs]
+
+
+def _fstring_csv(traj, n):
+    """The trajectory CSV as the per-value f-string loop wrote it."""
+    import numpy as np
+    ts = np.linspace(-traj.params.tau, traj.horizon, n)
+    rows = zip(ts.tolist(), traj.sample(ts).tolist())
+    return "\n".join(["t,x"] + [f"{t:.17g},{x:.17g}" for t, x in rows])
+
+
+def test_simulate_csv_rows(capsys, tmp_path):
+    path = tmp_path / "traj.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--preset", "p1", "--horizon", "2",
+                         "--samples", "11", "--out", str(path))
+    assert code == 0
+    header, *rows = path.read_text().splitlines()
+    assert header == "t,x" and len(rows) == 11
+    first, last = [tuple(map(float, r.split(","))) for r in (rows[0], rows[-1])]
+    assert first[0] == -1.0 and last[0] == 2.0
+    assert math.isclose(first[1], 1.0, abs_tol=1e-12)
+
+
+def test_simulate_csv_bytes_equal_per_value_formatting(capsys, tmp_path):
+    from relaydde import evolve
+    params = cli.PRESETS["p1"]
+    pulse = ("--amp", "0.2", "--delta", "1.0", "--sigma", "0.4")
+    for spec in ("const:1.0", "const:-0.3", "orbit", "premax"):
+        hist = cli._history_from(spec, params)
+        for n, extra in ((0, ()), (1, ()), (11, pulse), (20_001, ())):
+            path = tmp_path / f"{n}.csv"
+            argv = ("simulate", "--preset", "p1", "--history", spec, "--horizon", "30",
+                    "--samples", str(n), "--out", str(path), *extra)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            window = cli.PulseWindow(0.2, 1.0, 1.4) if extra else None
+            traj = evolve(params, hist, 30.0, pulse=window)
+            assert path.read_text() == _fstring_csv(traj, n) + "\n", argv
+            zeros = {"zeros": [{"t": z.t, "up": z.up} for z in traj.zeros]}
+            assert out == cli._dump_json(zeros) + "\n", argv
+
+
+def test_therapy_trajectory_bytes_equal_per_value_formatting(capsys, tmp_path):
+    from relaydde import TherapyInput, apply_plan, plan
+    params = cli.PRESETS["p1"]
+    path = tmp_path / "treated.csv"
+    for n in (0, 1, 1001, 20_001):
+        code, _, _ = run_cli(capsys, "therapy", "--preset", "p1", "--sigma", "0.05",
+                             "--x-d", "-0.45", "--samples", str(n),
+                             "--trajectory-out", str(path))
+        assert code == 0
+        inp = TherapyInput(params=params, sigma=0.05, x_d=-0.45,
+                           history=cli._history_from("premax", params))
+        outcome = apply_plan(inp, plan(inp))
+        assert path.read_text() == _fstring_csv(outcome.trajectory, n) + "\n", n
+
+
+def test_zeros_json_equals_dump_json():
+    from relaydde import History, Zero, evolve
+    params = cli.PRESETS["p1"]
+    many = evolve(params, History.constant(1.0, 1.0), 5000.0).zeros
+    assert len(many) > 3000
+    odd = (Zero(5e-324, True), Zero(1e300, False), Zero(0.1 + 0.2, True))
+    for zeros in ((), many[:1], many, odd):
+        want = cli._dump_json({"zeros": [{"t": z.t, "up": z.up} for z in zeros]})
+        assert cli._zeros_json(zeros) == want
+
+
+def test_negative_samples_and_infinite_horizon_exit_code(capsys, tmp_path):
+    path = tmp_path / "treated.csv"
+    for argv, clause in (
+            (("simulate", "--preset", "p1", "--horizon", "5", "--samples", "-1"),
+             "samples_nonnegative"),
+            (("therapy", "--preset", "p1", "--sigma", "0.05", "--x-d", "-0.45",
+              "--samples", "-1", "--trajectory-out", str(path)), "samples_nonnegative"),
+            (("simulate", "--preset", "p1", "--horizon", "inf"), "horizon_finite")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {clause}: ") and err.count("\n") == 1, err
+    assert not path.exists()

@@ -176,19 +176,14 @@ def test_one_arc_built_per_emitted_arc(p1, orb1, monkeypatch):
 def test_horizon_validation(p1):
     with pytest.raises(ValidationError):
         evolve(p1, History.constant(1.0, 1.0), 0.0)
+    with pytest.raises(ValidationError) as err:
+        evolve(p1, History.constant(1.0, 1.0), math.inf)
+    assert err.value.clause == "horizon_finite"
 
 
 def test_history_tau_mismatch(p1):
     with pytest.raises(ValidationError):
         evolve(p1, History.constant(1.0, 2.0), 1.0)
-
-
-def test_csv_rows(p1):
-    traj = evolve(p1, History.constant(1.0, 1.0), 2.0)
-    rows = list(traj.csv_rows(11))
-    assert len(rows) == 11
-    assert rows[0][0] == -1.0 and rows[-1][0] == 2.0
-    assert math.isclose(rows[0][1], 1.0, abs_tol=1e-12)
 
 
 @pytest.mark.parametrize("spec", ["const", "orbit", "premax"])
