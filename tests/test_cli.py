@@ -362,16 +362,16 @@ def test_simulate_csv_bytes_equal_per_value_formatting(capsys, tmp_path):
 def test_therapy_trajectory_bytes_equal_per_value_formatting(capsys, tmp_path):
     from relaydde import TherapyInput, apply_plan, plan
     params = cli.PRESETS["p1"]
+    inp = TherapyInput(params=params, sigma=0.05, x_d=-0.45,
+                       history=cli._history_from("premax", params))
+    treated = apply_plan(inp, plan(inp)).trajectory
     path = tmp_path / "treated.csv"
     for n in (0, 1, 1001, 20_001):
         code, _, _ = run_cli(capsys, "therapy", "--preset", "p1", "--sigma", "0.05",
                              "--x-d", "-0.45", "--samples", str(n),
                              "--trajectory-out", str(path))
         assert code == 0
-        inp = TherapyInput(params=params, sigma=0.05, x_d=-0.45,
-                           history=cli._history_from("premax", params))
-        outcome = apply_plan(inp, plan(inp))
-        assert path.read_text() == _fstring_csv(outcome.trajectory, n) + "\n", n
+        assert path.read_text() == _fstring_csv(treated, n) + "\n", n
 
 
 def test_zeros_json_equals_dump_json():
