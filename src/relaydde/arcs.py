@@ -208,6 +208,8 @@ class History:
             raise ValidationError("history_span", "history must end at t = 0")
         prev = None
         for arc in self.arcs:
+            if not (math.isfinite(arc.c) and math.isfinite(arc.k)):
+                raise ValidationError("history_finite", f"arc at t = {arc.t_start} is not finite")
             if arc.c == 0.0 and arc.k == 0.0:
                 raise IdenticallyZeroHistory("history has an identically-zero arc")
             if prev is not None:

@@ -119,7 +119,12 @@ def _history_from(spec: str, params: ModelParams) -> History:
     if spec == "premax":
         return periodic_solution(params).history_pre_max()
     if spec.startswith("const:"):
-        return History.constant(float(spec.split(":", 1)[1]), params.tau)
+        try:
+            value = float(spec.split(":", 1)[1])
+        except ValueError:
+            pass
+        else:
+            return History.constant(value, params.tau)
     raise RelayDDEError(f"unknown history spec {spec!r} "
                         "(use const:<value>, orbit, or premax)")
 

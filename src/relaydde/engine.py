@@ -45,6 +45,8 @@ class FeedbackTable:
             raise ValidationError("feedback_shape", "need one more level than thresholds")
         if any(lo >= hi for lo, hi in zip(self.thresholds, self.thresholds[1:])):
             raise ValidationError("feedback_order", "thresholds must be strictly increasing")
+        if not all(map(math.isfinite, (*self.thresholds, *self.levels))):
+            raise ValidationError("feedback_finite", "thresholds and levels must be finite")
 
     @staticmethod
     def two_level(params: ModelParams) -> "FeedbackTable":
@@ -60,6 +62,8 @@ class PulseWindow:
     t_off: float
 
     def __post_init__(self):
+        if not math.isfinite(self.a):
+            raise ValidationError("pulse_amp_finite", f"amplitude a = {self.a} must be finite")
         if not self.t_on < self.t_off:
             raise ValidationError("pulse_window", f"need t_on < t_off, got [{self.t_on}, {self.t_off}]")
 

@@ -116,8 +116,8 @@ class PeriodicOrbit:
 
 def periodic_solution(params: ModelParams) -> PeriodicOrbit:
     """The slowly oscillating periodic solution; RegimeError outside oscillatory."""
-    if regime(params) is not Regime.OSCILLATORY:
-        raise RegimeError(f"no periodic orbit in regime {regime(params).value}")
+    if (r := regime(params)) is not Regime.OSCILLATORY:
+        raise RegimeError(f"no periodic orbit in regime {r.value}")
     tau, bl, bu = params.tau, params.beta_l, params.beta_u
     em = -math.expm1(-tau)            # 1 - e^-tau
     x_min = -bu * em

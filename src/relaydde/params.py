@@ -82,6 +82,9 @@ class ModelParams:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValidationError("tau_positive", f"tau = {self.tau} must be > 0")
+        if not (math.isfinite(self.beta_l) and math.isfinite(self.beta_u)):
+            raise ValidationError("beta_finite", f"beta_L = {self.beta_l} and "
+                                  f"beta_U = {self.beta_u} must be finite")
         if self.beta_l == 0:
             raise ValidationError("beta_l_nonzero", "beta_L = 0 is the excluded degenerate case")
         if self.beta_u == 0:
@@ -107,8 +110,8 @@ class PulseSpec:
     relaxed: bool = False
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValidationError("amp_positive", f"pulse amplitude a = {self.a} must be > 0")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValidationError("amp_positive", f"amplitude a = {self.a} must be finite and > 0")
         if not self.sigma > 0:
             raise ValidationError("sigma_positive", f"sigma = {self.sigma} must be > 0")
         if not self.delta >= 0:

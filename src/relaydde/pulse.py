@@ -28,11 +28,10 @@ import numpy as np
 
 from .arcs import History
 from .engine import PulseWindow, StopHook, Trajectory, _evolve
-from .exceptions import (OutOfDomainError, RegimeError, StandingHypothesisViolated,
-                         ValidationError)
+from .exceptions import OutOfDomainError, StandingHypothesisViolated
 from .orbit import (MergeInfo, MergePhase, PeriodicOrbit, _MergeScan, merge_window,
                     periodic_solution)
-from .params import ModelParams, PulseSpec, Regime, check_pulse, regime
+from .params import ModelParams, PulseSpec, check_pulse
 
 
 class CaseCode(enum.Enum):
@@ -156,13 +155,6 @@ def _j_delta(orb: PeriodicOrbit, delta):
     return np.searchsorted((orb.z1, orb.z2), delta, side="right")
 
 
-def _require_oscillatory(params: ModelParams) -> PeriodicOrbit:
-    if regime(params) is not Regime.OSCILLATORY:
-        raise RegimeError(f"pulse analysis needs the oscillatory regime, "
-                          f"got {regime(params).value}")
-    return periodic_solution(params)
-
-
 class PulseContext:
     """Orbit and onset thresholds of one (params, a, sigma), computed once.
 
@@ -172,12 +164,10 @@ class PulseContext:
     """
 
     def __init__(self, params: ModelParams, a: float, sigma: float):
-        if not a > 0:
-            raise ValidationError("amp_positive", f"a = {a} must be > 0")
-        if not 0 < sigma <= params.tau:
-            raise ValidationError("sigma_le_tau", f"need 0 < sigma <= tau, got {sigma}")
+        # relaxed for the simulated a >= beta_U route; onsets are checked per call
+        check_pulse(params, PulseSpec(a, 0.0, sigma, relaxed=True))
         self.params, self.a, self.sigma = params, a, sigma
-        self.orbit = orb = _require_oscillatory(params)
+        self.orbit = orb = periodic_solution(params)
         self._history = orb.history_min_phase()     # every simulated run starts here
         bl, bu, tau = params.beta_l, params.beta_u, params.tau
         gain = a * -math.expm1(-sigma)            # a(1 - e^-sigma)
@@ -485,7 +475,7 @@ def pulsed_trajectory(params: ModelParams, pulse: PulseSpec,
                       horizon: Optional[float] = None) -> tuple[Trajectory, PeriodicOrbit]:
     """The pulsed solution x^(Delta): orbit history, pulse on [Delta, Delta+sigma]."""
     check_pulse(params, pulse)
-    orb = _require_oscillatory(params)
+    orb = periodic_solution(params)
     return _pulsed(params, orb, orb.history_min_phase(), pulse.a, pulse.delta, pulse.sigma,
                    horizon), orb
 

@@ -24,9 +24,9 @@ from typing import Optional
 
 from .arcs import History
 from .engine import PulseWindow, Trajectory, evolve
-from .exceptions import DomainError, PlanInfeasible, RegimeError
+from .exceptions import DomainError, PlanInfeasible
 from .orbit import periodic_solution
-from .params import ModelParams, Regime, regime
+from .params import ModelParams
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,15 @@ class TherapyInput:
     history: History
 
     def __post_init__(self):
-        if regime(self.params) is not Regime.OSCILLATORY:
-            raise RegimeError("therapy planning needs the oscillatory regime")
-        orb = periodic_solution(self.params)
+        orb = periodic_solution(self.params)   # the regime gate
+        object.__setattr__(self, "_orbit", orb)
         if not orb.x_min < self.x_d < 0:
             raise DomainError(f"critical level x_d = {self.x_d} must lie in "
                               f"(xmin = {orb.x_min}, 0)")
         if not self.sigma > 0:
             raise DomainError(f"sigma = {self.sigma} must be > 0")
-        tau = self.params.tau
-        probe = [-tau * (1 - k / 64.0) for k in range(1, 65)]
-        if any(self.history.value(t) <= 0 for t in probe):
+        # arcs are monotone: positive on (t_start, t_end] iff start >= 0 < end
+        if not all(arc.start_value >= 0 < arc.end_value for arc in self.history.arcs):
             raise DomainError("history must be positive on (-tau, 0]")
 
     @property
@@ -99,34 +97,33 @@ def predict_t_d(params: ModelParams, phi0: float, x_d: float) -> tuple[float, fl
     t_d always lands in (z1, z1 + tau): the crossing happens on the way down
     to the minimum.
     """
-    if regime(params) is not Regime.OSCILLATORY:
-        raise RegimeError("prediction needs the oscillatory regime")
     orb = periodic_solution(params)
     if not phi0 > 0:
         raise DomainError(f"phi(0) = {phi0} must be > 0")
     if not orb.x_min < x_d < 0:
         raise DomainError(f"x_d = {x_d} must lie in (xmin = {orb.x_min}, 0)")
-    bu = params.beta_u
+    return _t_d(params.beta_u, phi0, x_d)
+
+
+def _t_d(bu: float, phi0: float, x_d: float) -> tuple[float, float]:
+    """predict_t_d's (z1, t_d) for arguments already in its domain."""
     z1 = math.log((phi0 + bu) / bu)
-    t_d = z1 + math.log(bu / (x_d + bu))
-    return z1, t_d
+    return z1, z1 + math.log(bu / (x_d + bu))
 
 
 def plan(inp: TherapyInput) -> TherapyPlan:
     """Medication time, unique amplitude, and the four feasibility checks."""
-    p = inp.params
-    orb = periodic_solution(p)
-    z1, t_d = predict_t_d(p, inp.phi0, inp.x_d)
+    p, orb = inp.params, inp._orbit
+    z1, t_d = _t_d(p.beta_u, inp.phi0, inp.x_d)
     t_m = t_d - p.tau - inp.sigma
     gain = -math.expm1(-inp.sigma)          # 1 - e^-sigma
-    a_d = (inp.x_d - orb.x_min) * math.exp(p.tau) * (inp.x_d + p.beta_u) \
-        / (p.beta_u * gain)
+    dose = (inp.x_d - orb.x_min) * math.exp(p.tau) * (inp.x_d + p.beta_u)
+    a_d = dose / (p.beta_u * gain)
     checks = TherapyChecks(
         t_m_positive=t_m > 0,
         sigma_window=z1 < t_d - inp.sigma,
         x_d_negative=inp.x_d + a_d * gain < 0,
-        amplitude=(inp.x_d - orb.x_min) * math.exp(p.tau) * (inp.x_d + p.beta_u)
-        < -p.beta_u * inp.x_d,
+        amplitude=dose < -p.beta_u * inp.x_d,
         t_m_relaxed=p.tau < t_d,
     )
     z2 = z1 + p.tau + math.log((p.beta_l - inp.x_d) / p.beta_l)

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import FeedbackTable, PulseWindow, Trajectory, evolve
-from .exceptions import DomainError, NoUndershoot, RegimeError
+from .exceptions import DomainError, NoUndershoot
 from .orbit import PeriodicOrbit, periodic_solution
-from .params import ModelParams, Regime, regime
+from .params import ModelParams
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,14 @@ class ThreeLevelParams:
     beta_star: float
 
     def __post_init__(self):
-        if regime(self.base) is not Regime.OSCILLATORY:
-            raise RegimeError("three-level extension needs the oscillatory base")
-        if not self.beta_star > self.base.beta_u:
-            raise DomainError(f"beta* = {self.beta_star} must exceed "
+        object.__setattr__(self, "_orbit", periodic_solution(self.base))   # the regime gate
+        if not (math.isfinite(self.beta_star) and self.beta_star > self.base.beta_u):
+            raise DomainError(f"beta* = {self.beta_star} must be finite and exceed "
                               f"beta_U = {self.base.beta_u}")
 
     @property
     def xi(self) -> float:
-        return periodic_solution(self.base).x_max
+        return self._orbit.x_max
 
     def feedback(self) -> FeedbackTable:
         return FeedbackTable((0.0, self.xi),
@@ -83,11 +82,11 @@ class ThreeLevelResponse:
 
 def three_level_pulse(p: ThreeLevelParams, a: float) -> ThreeLevelResponse:
     """Closed-form checkpoints of the pulse (onset z1, duration tau)."""
-    if not a > 0:
-        raise DomainError(f"amplitude a = {a} must be > 0")
+    if not (math.isfinite(a) and a > 0):
+        raise DomainError(f"amplitude a = {a} must be finite and > 0")
     base = p.base
     tau, bl, bu = base.tau, base.beta_l, base.beta_u
-    orb = periodic_solution(base)
+    orb = p._orbit
     em = -math.expm1(-tau)                      # 1 - e^-tau
     x_top = (bl + a) * em
     q = (a + bl * math.exp(-tau)) / (a + bl)    # e^{z1 - t*}
@@ -103,7 +102,7 @@ def three_level_pulse(p: ThreeLevelParams, a: float) -> ThreeLevelResponse:
 def simulate_pulse(p: ThreeLevelParams, a: float,
                    horizon: Optional[float] = None) -> tuple[Trajectory, PeriodicOrbit]:
     """Event-driven run of the three-level system with the section's pulse."""
-    orb = periodic_solution(p.base)
+    orb = p._orbit
     tau = p.base.tau
     if horizon is None:
         horizon = orb.z1 + 2 * tau + orb.period
@@ -124,8 +123,8 @@ def undershoot_threshold(p: ThreeLevelParams, a: float) -> float:
     part. Raises NoUndershoot when tau0 is not positive, i.e. when
     (beta_L + a)^2 <= (beta* - beta_U) a and every tau > 0 undershoots.
     """
-    if not a > 0:
-        raise DomainError(f"amplitude a = {a} must be > 0")
+    if not (math.isfinite(a) and a > 0):
+        raise DomainError(f"amplitude a = {a} must be finite and > 0")
     bl, bu = p.base.beta_l, p.base.beta_u
     A, B, C = bl * (bl + a), a * (bl + a), (p.beta_star - bu) * a
     tau0 = -math.log(2 * C / (B + math.sqrt(B * B + 4 * A * C)))

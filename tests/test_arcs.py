@@ -178,3 +178,17 @@ def test_history_branch_markers_sign_change():
     t, branch = markers[0]
     assert math.isclose(t, math.log(2.0) - 1.0, abs_tol=1e-14)
     assert branch == 1   # moved upward across 0
+
+
+@pytest.mark.parametrize("c,k", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan),
+                                 (0.5, -math.inf)])
+def test_history_rejects_non_finite_arcs(c, k):
+    # NaN also fails no continuity comparison, so it needs its own gate
+    for hist in (lambda: History((ExpArc(-1.0, 0.0, c, k),)),
+                 lambda: History((ExpArc(-1.0, -0.5, 1.0, 0.0), ExpArc(-0.5, 0.0, c, k)))):
+        with pytest.raises(ValidationError) as exc:
+            hist()
+        assert exc.value.clause == "history_finite"
+    with pytest.raises(ValidationError) as exc:
+        History.constant(c + k, 1.0)     # the arc's start value, not finite
+    assert exc.value.clause == "history_finite"

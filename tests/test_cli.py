@@ -3,6 +3,7 @@ import math
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from relaydde import cli
 
@@ -397,3 +398,64 @@ def test_negative_samples_and_infinite_horizon_exit_code(capsys, tmp_path):
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: {clause}: ") and err.count("\n") == 1, err
     assert not path.exists()
+
+
+def test_each_command_builds_its_orbits_once(capsys, monkeypatch):
+    """therapy builds the premax history's orbit and the TherapyInput's,
+    threelevel only the ThreeLevelParams'; regime() runs once per orbit
+    build, plus once in verify, which chooses its horizon with it."""
+    import relaydde
+    from conftest import count_calls
+    calls = {"periodic_solution": 0, "regime": 0}
+    count_calls(monkeypatch, relaydde.orbit, "periodic_solution", calls)
+    count_calls(monkeypatch, relaydde.params, "regime", calls)
+    for argv, orbits, verify in (
+            (("therapy", "--preset", "p1", "--sigma", "0.05", "--x-d", "-0.45"), 2, 0),
+            (("therapy", "--preset", "p2", "--sigma", "0.3", "--x-d", "-0.2",
+              "--history", "const:0.5"), 1, 0),
+            (("threelevel", "--tau", "5", "--beta-l", "0.4", "--beta-u", "0.8",
+              "--beta-star", "2", "--amp", "0.6", "--find-tau0"), 1, 0),
+            (("classify", "--preset", "p1", "--amp", "0.2", "--sigma", "0.4",
+              "--delta", "0.1"), 1, 0),
+            (("sweep", "--preset", "p1", "--amp", "0.2", "--sigma", "0.4",
+              "--grid", "16"), 1, 0),
+            (("verify", "--preset", "p1", "--oracle-step", "1e-3"), 1, 1)):
+        calls.update(periodic_solution=0, regime=0)
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 3) and err == "", argv
+        assert calls == {"periodic_solution": orbits, "regime": orbits + verify}, argv
+
+
+def test_malformed_const_history_exit_code(capsys):
+    for spec in ("const:abc", "const:", "const:1.0x"):
+        code, out, err = run_cli(capsys, "simulate", "--preset", "p1", "--history", spec,
+                                 "--horizon", "5")
+        assert (code, out) == (2, ""), spec
+        assert err == f"error: unknown history spec {spec!r} " \
+                      "(use const:<value>, orbit, or premax)\n"
+
+
+@pytest.mark.parametrize("argv,clause", [
+    (("--preset", "p1", "--amp", "nan", "--delta", "0.5", "--sigma", "0.4"), "pulse_amp_finite"),
+    (("--preset", "p1", "--amp", "inf", "--delta", "0.5", "--sigma", "0.4"), "pulse_amp_finite"),
+    (("--preset", "p1", "--history", "const:nan"), "history_finite"),
+    (("--tau", "1", "--beta-l", "inf", "--beta-u", "0.8"), "beta_finite"),
+])
+def test_non_finite_simulate_input_exits_in_a_subprocess(argv, clause):
+    """Each flag set once sent the engine into an endless loop; run as a
+    process with a timeout, a regression fails here instead of stalling
+    the suite."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import relaydde
+    path = [str(Path(relaydde.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    res = subprocess.run([sys.executable, "-m", "relaydde.cli", "simulate", *argv,
+                          "--horizon", "5"],
+                         capture_output=True, text=True, timeout=15,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith(f"error: {clause}: ") and res.stderr.count("\n") == 1, \
+        res.stderr

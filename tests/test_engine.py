@@ -232,3 +232,19 @@ def test_value_and_extrema_equal_per_arc_scan(p1, orb1, spec):
     for t in (traj.horizon + 1e-9, math.nan):
         with pytest.raises(ValidationError):
             traj.value(t)
+
+
+def test_non_finite_pulse_and_feedback_rejected():
+    from relaydde import FeedbackTable, PulseWindow
+    for a in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError) as err:
+            PulseWindow(a, 0.5, 0.9)
+        assert err.value.clause == "pulse_amp_finite"
+    for thresholds, levels in (((0.0, math.nan), (0.4, -0.8, -2.0)),
+                               ((0.0, math.inf), (0.4, -0.8, -2.0)),
+                               ((math.nan,), (0.4, -0.8)),
+                               ((0.0,), (math.inf, -0.8)),
+                               ((0.0,), (0.4, math.nan))):
+        with pytest.raises(ValidationError) as err:
+            FeedbackTable(thresholds, levels)
+        assert err.value.clause == "feedback_finite"

@@ -137,3 +137,13 @@ def test_round_trip_raw_vs_nondimensional_scaled_gamma():
     mapped = x_raw[keep] - raw.theta
     exact = traj.sample(t_raw[keep] * raw.gamma)
     assert float(np.max(np.abs(mapped - exact))) < 1e-3
+
+
+@pytest.mark.parametrize("beta_l,beta_u", [
+    (math.inf, 0.8), (math.nan, 0.8), (-math.inf, 0.8),
+    (0.4, math.inf), (0.4, math.nan), (0.4, -math.inf),
+])
+def test_model_rejects_non_finite_levels(beta_l, beta_u):
+    with pytest.raises(ValidationError) as exc:
+        ModelParams(1.0, beta_l, beta_u)
+    assert exc.value.clause == "beta_finite"

@@ -556,3 +556,12 @@ def test_merged_runs_end_before_the_full_horizon(monkeypatch, p1, p2):
             assert max(st.zeros) < traj.horizon < horizon, (d, traj.horizon, horizon)
         ends.append(st.T == math.inf)
     assert ends == [False] * 5 + [True]
+
+
+def test_infinite_amplitude_rejected(p1):
+    # a = inf once reached log(beta_L / inf) and raised a bare ValueError
+    for make in (lambda: PulseContext(p1, math.inf, 0.4),
+                 lambda: PulseSpec(math.inf, 0.1, 0.4, relaxed=True)):
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert exc.value.clause == "amp_positive"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relaydde import (DomainError, History, ModelParams, PlanInfeasible,
+from relaydde import (DomainError, ExpArc, History, ModelParams, PlanInfeasible,
                       TherapyInput, apply_plan, evolve, periodic_solution, plan,
                       predict_t_d)
 from relaydde.arcs import chains_equal
@@ -160,3 +160,28 @@ def test_needs_oscillatory_regime():
     with pytest.raises(RegimeError):
         TherapyInput(params=gas, sigma=SIGMA, x_d=-0.1,
                      history=History.constant(1.0, 1.0))
+
+
+def test_history_dip_between_samples_is_rejected(p1):
+    # negative only on about (-0.99005, -0.98995), between any two of 64
+    # evenly spaced samples of (-tau, 0]
+    fall = ExpArc(-1.0, -0.99, -100.0, 101.0)
+    dip = History((fall, ExpArc(-0.99, 0.0, 100.0, fall.end_value - 100.0)))
+    zs = dip.zeros()
+    assert len(zs) == 2 and -0.99006 < zs[0] < -0.99 < zs[1] < -0.98994
+    assert dip.value(0.0) > 0
+    with pytest.raises(DomainError):
+        TherapyInput(params=p1, sigma=SIGMA, x_d=X_D, history=dip)
+
+
+def test_plan_and_apply_reuse_the_input_orbit(inp, monkeypatch):
+    import relaydde
+    from conftest import count_calls
+    calls = {"periodic_solution": 0, "regime": 0}
+    count_calls(monkeypatch, relaydde.orbit, "periodic_solution", calls)
+    count_calls(monkeypatch, relaydde.params, "regime", calls)
+    therapy = plan(inp)
+    assert therapy.feasible
+    apply_plan(inp, therapy)
+    apply_plan(inp, therapy, amplitude=0.5 * therapy.a_d)
+    assert calls == {"periodic_solution": 0, "regime": 0}

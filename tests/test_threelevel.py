@@ -237,3 +237,31 @@ def test_full_simulation_minimum_below_base():
 def orb_horizon(p3, tau):
     orb = periodic_solution(p3.base)
     return orb.z1 + 2 * tau + orb.period
+
+
+def test_non_finite_beta_star_rejected():
+    for beta_star in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ThreeLevelParams(BASE5, beta_star)
+
+
+def test_entry_points_reuse_the_stored_orbit(monkeypatch):
+    import relaydde
+    from conftest import count_calls
+    p3 = ThreeLevelParams(BASE5, 2.0)
+    calls = {"periodic_solution": 0, "regime": 0}
+    count_calls(monkeypatch, relaydde.orbit, "periodic_solution", calls)
+    count_calls(monkeypatch, relaydde.params, "regime", calls)
+    assert [p3.xi for _ in range(3)] == [P3.xi] * 3
+    three_level_pulse(p3, 0.6)
+    simulate_pulse(p3, 0.6)
+    p3.feedback()
+    assert calls == {"periodic_solution": 0, "regime": 0}
+
+
+def test_non_finite_amplitude_rejected():
+    # a = inf once gave NaN checkpoints and a NoUndershoot with tau0 = nan
+    for a in (math.inf, math.nan):
+        for fn in (three_level_pulse, undershoot_threshold):
+            with pytest.raises(DomainError):
+                fn(P3, a)
