@@ -10,6 +10,7 @@ chains of such arcs; sampling is only ever a view of this exact form.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -96,20 +97,6 @@ def arc_zero(arc: ExpArc) -> Optional[float]:
     return arc.crossing(0.0)
 
 
-def chain_value(arcs: Iterable[ExpArc], t: float) -> float:
-    """Evaluate an ordered arc chain at t (breakpoints resolve to either side)."""
-    seq = list(arcs)
-    for arc in seq:
-        if arc.t_start <= t <= arc.t_end:
-            return arc.value(t)
-    # tolerate boundary jitter at the extreme ends
-    if seq and abs(t - seq[0].t_start) <= _tie(t):
-        return seq[0].start_value
-    if seq and abs(t - seq[-1].t_end) <= _tie(t):
-        return seq[-1].end_value
-    raise ValidationError("chain_domain", f"t = {t} outside chain span")
-
-
 def chain_arrays(arcs: Iterable[ExpArc]) -> np.ndarray:
     """Rows t_start, t_end, c, k of an ordered arc chain, read-only."""
     table = np.array([(a.t_start, a.t_end, a.c, a.k) for a in arcs]).T.copy()
@@ -187,8 +174,30 @@ def _branch_after(value: float, slope: float, thresholds: tuple[float, ...]) -> 
     return b
 
 
+class _ArcChain:
+    """An ordered arc chain ``arcs``: its chain_arrays() table and its arc at a time."""
+
+    @cached_property
+    def chain(self) -> np.ndarray:
+        """The arcs as chain_arrays() rows."""
+        return chain_arrays(self.arcs)
+
+    @cached_property
+    def _ends(self) -> list[float]:
+        """Arc end times, for bisection."""
+        return [a.t_end for a in self.arcs]
+
+    def _arc_at(self, t: float) -> Optional[ExpArc]:
+        """The first arc ending at or after t if it starts by t, else None:
+        a breakpoint takes the earlier arc."""
+        i = bisect.bisect_left(self._ends, t)
+        if i < len(self.arcs) and self.arcs[i].t_start <= t:
+            return self.arcs[i]
+        return None
+
+
 @dataclass(frozen=True)
-class History:
+class History(_ArcChain):
     """An admissible initial state: an arc chain covering exactly [-tau, 0].
 
     Membership in Z requires finitely many zeros and no identically-zero
@@ -227,12 +236,16 @@ class History:
         return -self.arcs[0].t_start
 
     def value(self, t: float) -> float:
-        return chain_value(self.arcs, t)
-
-    @cached_property
-    def chain(self) -> np.ndarray:
-        """The arcs as chain_arrays() rows."""
-        return chain_arrays(self.arcs)
+        """x(t) on [-tau, 0]; a breakpoint takes the earlier arc's value."""
+        arc = self._arc_at(t)
+        if arc is not None:
+            return arc.value(t)
+        # tolerate boundary jitter at the extreme ends
+        if abs(t - self.arcs[0].t_start) <= _tie(t):
+            return self.arcs[0].start_value
+        if abs(t - self.arcs[-1].t_end) <= _tie(t):
+            return self.arcs[-1].end_value
+        raise ValidationError("chain_domain", f"t = {t} outside chain span")
 
     def values(self, times: np.ndarray) -> np.ndarray:
         return chain_values(self.chain, times)

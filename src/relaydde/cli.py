@@ -157,8 +157,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_classify(args) -> int:
     params = _params_from(args)
     pulse = PulseSpec(args.amp, args.delta, args.sigma, relaxed=args.relaxed)
+    check_pulse(params, pulse)   # without --relaxed: a >= beta_U fails before any orbit
     ctx = PulseContext(params, args.amp, args.sigma)
-    check_pulse(params, pulse)   # without --relaxed this rejects a >= beta_U
     stats = ctx.stats(args.delta, simulated=args.relaxed)
     th = ctx.thresholds
     payload = stats.to_dict(args.delta)

@@ -21,12 +21,11 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .arcs import (TIE_EPS, ExpArc, History, _branch_after, _tie, chain_arrays, chain_values,
+from .arcs import (TIE_EPS, ExpArc, History, _ArcChain, _branch_after, _tie, chain_values,
                    crossing_time)
 from .exceptions import ValidationError
 from .params import ModelParams
@@ -77,7 +76,7 @@ class Zero:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_ArcChain):
     """Solution on [0, horizon] as an exact arc chain, plus its history."""
 
     params: ModelParams
@@ -87,10 +86,6 @@ class Trajectory:
     #: crossings of every feedback threshold: (time, threshold index, upward)
     crossings: tuple[tuple[float, int, bool], ...] = field(repr=False, default=())
 
-    def __post_init__(self):
-        # arc end times, for bisection; the arcs are contiguous and in order
-        object.__setattr__(self, "_ends", [a.t_end for a in self.arcs])
-
     @property
     def horizon(self) -> float:
         return self.arcs[-1].t_end
@@ -99,10 +94,10 @@ class Trajectory:
         """x(t); a breakpoint takes the earlier arc's value."""
         if t <= 0:
             return self.history.value(t)
-        i = bisect.bisect_left(self._ends, t)    # the first arc ending at or after t
-        if i == len(self.arcs) or not self.arcs[i].t_start <= t:
+        arc = self._arc_at(t)
+        if arc is None:
             raise ValidationError("traj_domain", f"t = {t} beyond horizon {self.horizon}")
-        return self.arcs[i].value(t)
+        return arc.value(t)
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at sorted times within [-tau, horizon]."""
@@ -114,11 +109,6 @@ class Trajectory:
         if (~neg).any():
             out[~neg] = chain_values(self.chain, t[~neg])
         return out
-
-    @cached_property
-    def chain(self) -> np.ndarray:
-        """The arcs on [0, horizon] as chain_arrays() rows."""
-        return chain_arrays(self.arcs)
 
     def segment_at(self, t: float) -> History:
         """The state x_t as a history on [-tau, 0] (shifted arc chain)."""

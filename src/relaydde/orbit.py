@@ -23,12 +23,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .arcs import ExpArc, History, _tie, chain_arrays, chain_values, chains_equal
+from .arcs import ExpArc, History, _ArcChain, _tie, chain_values, chains_equal
 from .engine import Trajectory, Zero
 from .exceptions import HorizonExhausted, RegimeError
 from .params import ModelParams, Regime, regime
@@ -46,7 +45,7 @@ class MergeInfo:
 
 
 @dataclass(frozen=True)
-class PeriodicOrbit:
+class PeriodicOrbit(_ArcChain):
     """Closed-form data of the slowly oscillating periodic solution."""
 
     params: ModelParams
@@ -68,15 +67,7 @@ class PeriodicOrbit:
         if s < 0:
             s += self.period
         s -= tau
-        for arc in self.arcs:
-            if arc.t_start <= s <= arc.t_end:
-                return arc.value(s)
-        return self.arcs[-1].value(s)
-
-    @cached_property
-    def chain(self) -> np.ndarray:
-        """The arcs as chain_arrays() rows."""
-        return chain_arrays(self.arcs)
+        return (self._arc_at(s) or self.arcs[-1]).value(s)
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """x~ at an array of times, reduced as in ``value``; a time on an arc

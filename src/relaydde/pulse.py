@@ -151,8 +151,8 @@ def _end(x: float, closed: bool) -> tuple[float, float, bool]:
 
 
 def _j_delta(orb: PeriodicOrbit, delta):
-    """j_Delta: how many of the orbit zeros z1, z2 lie at or before the onset."""
-    return np.searchsorted((orb.z1, orb.z2), delta, side="right")
+    """j_Delta: how many of the orbit zeros z1, z2 lie at or before the onset(s)."""
+    return 0 + (delta >= orb.z1) + (delta >= orb.z2)   # 0 + makes bool arrays add as ints
 
 
 class PulseContext:
@@ -168,7 +168,6 @@ class PulseContext:
         check_pulse(params, PulseSpec(a, 0.0, sigma, relaxed=True))
         self.params, self.a, self.sigma = params, a, sigma
         self.orbit = orb = periodic_solution(params)
-        self._history = orb.history_min_phase()     # every simulated run starts here
         bl, bu, tau = params.beta_l, params.beta_u, params.tau
         gain = a * -math.expm1(-sigma)            # a(1 - e^-sigma)
         d1 = orb.z1 - sigma - math.log((bl + gain) / bl)
@@ -181,6 +180,11 @@ class PulseContext:
             0.5 + math.sqrt(0.25 + a * math.expm1(sigma) * math.exp(tau) / bu))
         self.thresholds = Thresholds(delta1=d1, delta1_hat=d1_hat, delta2=d2,
                                      delta_bar=d_bar, delta2_relaxed=not d2 < orb.z2)
+
+    @cached_property
+    def _history(self) -> History:
+        """The orbit's min-phase segment, where every simulated run starts."""
+        return self.orbit.history_min_phase()
 
     def _onsets(self, deltas) -> np.ndarray:
         """The onsets as a float array; OutOfDomainError unless all are in [0, T)."""
@@ -393,7 +397,7 @@ class PulseContext:
         runs to the full horizon.
         """
         params, orb = self.params, self.orbit
-        J = int(delta >= orb.z1) + int(delta >= orb.z2)      # j_Delta
+        J = int(_j_delta(orb, delta))
         scan = _MergeScan(orb, list(self._history.arcs), delta + self.sigma)
 
         def stop(arc, zeros):

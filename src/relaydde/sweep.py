@@ -126,8 +126,8 @@ def cycle_length_map(params: ModelParams, a: float, sigma: float, n_grid: int,
     """
     if n_grid < 16:
         raise ValidationError("grid_size", f"n_grid = {n_grid} must be >= 16")
-    ctx = PulseContext(params, a, sigma)
     check_pulse(params, PulseSpec(a, 0.0, sigma))   # a < beta_U: no relaxed sweeps
+    ctx = PulseContext(params, a, sigma)
     orb, th = ctx.orbit, ctx.thresholds
     deltas = orb.period * np.arange(n_grid) / n_grid
     if simulated:

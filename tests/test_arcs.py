@@ -192,3 +192,33 @@ def test_history_rejects_non_finite_arcs(c, k):
     with pytest.raises(ValidationError) as exc:
         History.constant(c + k, 1.0)     # the arc's start value, not finite
     assert exc.value.clause == "history_finite"
+
+
+def _three_arc_history() -> History:
+    """A continuous three-arc history on [-1.5, 0]."""
+    first = ExpArc(-1.5, -0.9, 0.3, 0.7)
+    second = ExpArc(-0.9, -0.35, -0.45, first.end_value + 0.45)
+    return History((first, second, ExpArc(-0.35, 0.0, 0.9, second.end_value - 0.9)))
+
+
+def test_history_value_takes_the_earlier_arc_at_every_arc_end():
+    hist = _three_arc_history()
+    arcs = hist.arcs
+    assert hist.value(-1.5).hex() == arcs[0].value(-1.5).hex()
+    for arc in arcs:
+        assert hist.value(arc.t_end).hex() == arc.value(arc.t_end).hex(), arc
+    # the later arc gives other bits at a breakpoint, so a switch to it shows
+    assert any(b.value(a.t_end) != a.value(a.t_end) for a, b in zip(arcs, arcs[1:]))
+
+
+def test_history_value_tie_tolerance_at_the_span_ends():
+    hist = _three_arc_history()
+    first, last = hist.arcs[0], hist.arcs[-1]
+    # within TIE_EPS * max(1, |t|) outside [-tau, 0]: the end values
+    assert hist.value(-1.5 - 0.5 * TIE_EPS * 1.5) == first.start_value
+    assert hist.value(0.5 * TIE_EPS) == last.end_value
+    assert hist.value(-0.5 * TIE_EPS) == last.value(-0.5 * TIE_EPS)
+    for t in (-1.5 - 10 * TIE_EPS * 1.5, 10 * TIE_EPS, -2.0, 0.5, math.nan):
+        with pytest.raises(ValidationError) as err:
+            hist.value(t)
+        assert err.value.clause == "chain_domain", t

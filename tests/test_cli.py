@@ -459,3 +459,39 @@ def test_non_finite_simulate_input_exits_in_a_subprocess(argv, clause):
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr.startswith(f"error: {clause}: ") and res.stderr.count("\n") == 1, \
         res.stderr
+
+
+def test_standing_hypothesis_fails_before_any_orbit(capsys, monkeypatch):
+    """classify without --relaxed and sweep reject a >= beta_U with the
+    library classify()'s amp_standing line and build no orbit, also outside
+    the oscillatory regime."""
+    import relaydde
+    from conftest import count_calls
+    from relaydde import ModelParams, PulseSpec, ValidationError, classify
+    calls = {"periodic_solution": 0}
+    count_calls(monkeypatch, relaydde.orbit, "periodic_solution", calls)
+    for beta_l in ("0.4", "-0.4"):
+        params = ("--tau", "1", "--beta-l", beta_l, "--beta-u", "0.8")
+        with pytest.raises(ValidationError) as exc:
+            classify(ModelParams(1.0, float(beta_l), 0.8), PulseSpec(0.9, 0.1, 0.4))
+        assert exc.value.clause == "amp_standing"
+        for argv in (("classify", *params, "--amp", "0.9", "--sigma", "0.4", "--delta", "0.1"),
+                     ("sweep", *params, "--amp", "0.9", "--sigma", "0.4", "--grid", "64")):
+            calls["periodic_solution"] = 0
+            assert run_cli(capsys, *argv) == (2, "", f"error: {exc.value}\n"), argv
+            assert calls["periodic_solution"] == 0, argv
+
+
+def test_only_simulated_runs_build_the_orbit_history(capsys, monkeypatch):
+    from relaydde import PeriodicOrbit
+    built = []
+    history_min_phase = PeriodicOrbit.history_min_phase
+    monkeypatch.setattr(PeriodicOrbit, "history_min_phase",
+                        lambda self: built.append(1) or history_min_phase(self))
+    pulse = ("--preset", "p1", "--amp", "0.2", "--sigma", "0.4")
+    for argv, n in ((("classify", *pulse, "--delta", "0.1"), 0),
+                    (("sweep", *pulse, "--grid", "64"), 0),
+                    (("classify", *pulse, "--delta", "0.1", "--relaxed"), 1)):
+        built.clear()
+        assert run_cli(capsys, *argv)[0] == 0, argv
+        assert len(built) == n, argv

@@ -248,3 +248,27 @@ def test_non_finite_pulse_and_feedback_rejected():
         with pytest.raises(ValidationError) as err:
             FeedbackTable(thresholds, levels)
         assert err.value.clause == "feedback_finite"
+
+
+def test_value_takes_the_earlier_arc_at_every_arc_end(p1, orb1):
+    rise = ExpArc(-1.0, -0.5, 1.0, -0.5)
+    differs = 0
+    for hist in (History.constant(1.0, 1.0), orb1.history_min_phase(),
+                 History((rise, ExpArc(-0.5, 0.0, -0.8, rise.end_value + 0.8)))):
+        traj = evolve(p1, hist, 40.0)
+        chain = hist.arcs + traj.arcs
+        for arc, nxt in zip(chain, chain[1:] + (None,)):
+            t = arc.t_end
+            assert traj.value(t).hex() == arc.value(t).hex(), t
+            differs += nxt is not None and nxt.value(t) != arc.value(t)
+    # the later arc gives other bits at some breakpoints, so a switch to it shows
+    assert differs
+
+
+def test_value_past_the_horizon_raises_traj_domain(p1):
+    traj = evolve(p1, History.constant(1.0, 1.0), 5.0)
+    assert traj.value(traj.horizon) == traj.arcs[-1].end_value
+    for t in (math.nextafter(traj.horizon, math.inf), traj.horizon + 1.0, math.inf):
+        with pytest.raises(ValidationError) as err:
+            traj.value(t)
+        assert err.value.clause == "traj_domain", t

@@ -145,3 +145,19 @@ def test_merge_random_params():
         info = merge_time(traj, orb)
         assert info is not None
         assert info.zero <= traj.zeros[0].t + params.tau + 1e-12
+
+
+def test_value_takes_the_earlier_arc_at_every_arc_end(p1, p2):
+    rng = np.random.default_rng(29)
+    differs = 0
+    for params in [p1, p2] + [random_oscillatory(rng) for _ in range(10)]:
+        orb = periodic_solution(params)
+        tau, T = params.tau, orb.period
+        for arc, nxt in zip(orb.arcs, orb.arcs[1:]):
+            t = arc.t_end
+            if math.fmod(t + tau, T) - tau != t:    # value would read a shifted time
+                continue
+            assert orb.value(t).hex() == arc.value(t).hex(), (params, t)
+            differs += nxt.value(t) != arc.value(t)
+    # the later arc gives other bits at some breakpoints, so a switch to it shows
+    assert differs

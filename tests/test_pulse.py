@@ -565,3 +565,20 @@ def test_infinite_amplitude_rejected(p1):
         with pytest.raises(ValidationError) as exc:
             make()
         assert exc.value.clause == "amp_positive"
+
+
+def test_context_builds_the_orbit_history_on_the_first_simulated_run(p1, monkeypatch):
+    from relaydde import PeriodicOrbit
+    built = []
+    history_min_phase = PeriodicOrbit.history_min_phase
+    monkeypatch.setattr(PeriodicOrbit, "history_min_phase",
+                        lambda self: built.append(1) or history_min_phase(self))
+    ctx = PulseContext(p1, 0.2, 0.4)
+    z1, z2, T = ctx.orbit.z1, ctx.orbit.z2, ctx.orbit.period
+    onsets = (0.0, z1, (z1 + z2) / 2, z2, (z2 + T) / 2)
+    closed = ctx.response(onsets)
+    assert ctx.partition and built == []
+    for i, d in enumerate(onsets):
+        J = ctx.stats(d, simulated=True).J
+        assert type(J) is int and J == closed.J[i] == (0, 1, 1, 2, 2)[i], d
+    assert built == [1]

@@ -169,6 +169,17 @@ def test_simulated_map_keeps_the_standing_hypothesis(p1):
         assert exc.value.clause == "amp_standing"
 
 
+def test_standing_hypothesis_fails_before_any_orbit(p1, monkeypatch):
+    calls = {"periodic_solution": 0}
+    count_calls(monkeypatch, relaydde.orbit, "periodic_solution", calls)
+    for params in (p1, ModelParams(1.0, -0.4, 0.8)):     # oscillatory or not
+        for simulated in (False, True):
+            with pytest.raises(ValidationError) as exc:
+                cycle_length_map(params, 0.9, SIGMA, 64, simulated=simulated)
+            assert exc.value.clause == "amp_standing"
+    assert calls["periodic_solution"] == 0
+
+
 def test_case_boundaries_stable_under_refinement(p1):
     coarse = cycle_length_map(p1, A, SIGMA, 256)
     fine = cycle_length_map(p1, A, SIGMA, 512)
