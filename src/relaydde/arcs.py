@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -174,23 +174,22 @@ def _branch_after(value: float, slope: float, thresholds: tuple[float, ...]) -> 
     return b
 
 
+#: bisection key of an arc chain: arcs are ordered by their end times
+_T_END = attrgetter("t_end")
+
+
 class _ArcChain:
     """An ordered arc chain ``arcs``: its chain_arrays() table and its arc at a time."""
 
-    @cached_property
+    @property
     def chain(self) -> np.ndarray:
         """The arcs as chain_arrays() rows."""
         return chain_arrays(self.arcs)
 
-    @cached_property
-    def _ends(self) -> list[float]:
-        """Arc end times, for bisection."""
-        return [a.t_end for a in self.arcs]
-
     def _arc_at(self, t: float) -> Optional[ExpArc]:
         """The first arc ending at or after t if it starts by t, else None:
         a breakpoint takes the earlier arc."""
-        i = bisect.bisect_left(self._ends, t)
+        i = bisect.bisect_left(self.arcs, t, key=_T_END)
         if i < len(self.arcs) and self.arcs[i].t_start <= t:
             return self.arcs[i]
         return None

@@ -25,8 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arcs import (TIE_EPS, ExpArc, History, _ArcChain, _branch_after, _tie, chain_values,
-                   crossing_time)
+from .arcs import (TIE_EPS, ExpArc, History, _ArcChain, _T_END, _branch_after, _tie,
+                   chain_values, crossing_time)
 from .exceptions import ValidationError
 from .params import ModelParams
 
@@ -131,8 +131,9 @@ class Trajectory(_ArcChain):
         hist = self.history.arcs
         # the arcs that can have an endpoint in [lo, hi]: from the first one
         # ending at or after lo to the first one ending after hi
-        ends = self._ends
-        near = self.arcs[bisect.bisect_left(ends, lo):bisect.bisect_right(ends, hi) + 1]
+        arcs = self.arcs
+        near = arcs[bisect.bisect_left(arcs, lo, key=_T_END):
+                    bisect.bisect_right(arcs, hi, key=_T_END) + 1]
         for arc in (hist + near if lo <= hist[-1].t_end else near):
             for tt in (arc.t_start, arc.t_end):
                 if lo <= tt <= hi:
@@ -152,25 +153,6 @@ class Trajectory(_ArcChain):
 
 def _on_threshold(v: float, th: float) -> bool:
     return abs(v - th) <= 1e-12 * max(1.0, abs(v), abs(th))
-
-
-class _Run:
-    """Mutable bookkeeping for one evolve() call."""
-
-    def __init__(self, fb: FeedbackTable, tau: float):
-        self.fb = fb
-        self.tau = tau
-        self.events: list[tuple[float, int, int]] = []   # (time, priority, branch | -1)
-        self.zeros: list[Zero] = []
-        self.crossings: list[tuple[float, int, bool]] = []
-        self.last_seen: dict[int, float] = {}            # threshold -> last crossing time
-
-    def book(self, s: float, i: int, up: bool) -> None:
-        self.last_seen[i] = s
-        self.crossings.append((s, i, up))
-        if self.fb.thresholds[i] == 0.0 and s > TIE_EPS:
-            self.zeros.append(Zero(s, up))
-        heapq.heappush(self.events, (s + self.tau, 1, i + 1 if up else i))
 
 
 def evolve(params: ModelParams, history: History, horizon: float,
@@ -205,11 +187,20 @@ def _evolve(params: ModelParams, history: History, horizon: float,
         raise ValidationError("history_tau", f"history spans tau = {history.tau}, "
                                              f"params say {params.tau}")
     fb = feedback if feedback is not None else FeedbackTable.two_level(params)
-    thresholds = fb.thresholds
+    thresholds, levels = fb.thresholds, fb.levels
     tau = params.tau
-    run = _Run(fb, tau)
+    events: list[tuple[float, int, int]] = []   # (time, priority, branch | -1)
+    zeros: list[Zero] = []
+    crossings: list[tuple[float, int, bool]] = []
+    last_seen: dict[int, float] = {}            # threshold -> last crossing time
 
-    events, last_seen, levels = run.events, run.last_seen, fb.levels
+    def book(s: float, i: int, up: bool) -> None:
+        last_seen[i] = s
+        crossings.append((s, i, up))
+        if thresholds[i] == 0.0 and s > TIE_EPS:
+            zeros.append(Zero(s, up))
+        heapq.heappush(events, (s + tau, 1, i + 1 if up else i))
+
     if pulse is not None:
         heapq.heappush(events, (pulse.t_on, 0, -1))
         heapq.heappush(events, (pulse.t_off, 0, -1))
@@ -245,7 +236,7 @@ def _evolve(params: ModelParams, history: History, horizon: float,
             t0, ti, before = touch
             after = _branch_after(thresholds[ti], -k, thresholds)
             if after != before:
-                run.book(t0, ti, up=after > before)
+                book(t0, ti, up=after > before)
                 seg_end = min(seg_end, t0 + tau)
             else:
                 last_seen[ti] = t0   # grazing contact: suppress re-detection
@@ -266,20 +257,20 @@ def _evolve(params: ModelParams, history: History, horizon: float,
             if s1 >= seg_end - _tie(seg_end):
                 touch = (seg_end, i1, i1 if k < 0 else i1 + 1)
                 break
-            run.book(s1, i1, up=k < 0)
+            book(s1, i1, up=k < 0)
             seg_end = min(seg_end, s1 + tau)
             lo = s1
 
         arc = ExpArc(t, seg_end, level, k)
         arcs.append(arc)
-        if stop is not None and stop(arc, run.zeros):
+        if stop is not None and stop(arc, zeros):
             break
         x = level + k * math.exp(-(seg_end - t))   # arc.end_value
         t = seg_end
 
-    run.zeros.sort(key=lambda z: z.t)
+    zeros.sort(key=lambda z: z.t)
     return Trajectory(params=params, history=history, arcs=tuple(arcs),
-                      zeros=tuple(run.zeros), crossings=tuple(sorted(run.crossings)))
+                      zeros=tuple(zeros), crossings=tuple(sorted(crossings)))
 
 
 def zeros_of(traj: Trajectory) -> list[Zero]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .arcs import ExpArc, History, _ArcChain, _tie, chain_values, chains_equal
 from .engine import Trajectory, Zero
-from .exceptions import HorizonExhausted, RegimeError
+from .exceptions import HorizonExhausted, RegimeError, ValidationError
 from .params import ModelParams, Regime, regime
 
 
@@ -61,13 +61,15 @@ class PeriodicOrbit(_ArcChain):
         return self.z1 + self.params.tau
 
     def value(self, t: float) -> float:
-        """x~ at any time (reduced mod the period into [-tau, z2 + tau))."""
+        """x~ at any finite time (reduced mod the period into [-tau, z2))."""
+        if not math.isfinite(t):
+            raise ValidationError("orbit_time_finite", f"t = {t} must be finite")
         tau = self.params.tau
         s = math.fmod(t + tau, self.period)
         if s < 0:
             s += self.period
         s -= tau
-        return (self._arc_at(s) or self.arcs[-1]).value(s)
+        return self._arc_at(s).value(s)
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """x~ at an array of times, reduced as in ``value``; a time on an arc

@@ -156,7 +156,7 @@ def _j_delta(orb: PeriodicOrbit, delta):
 
 
 class PulseContext:
-    """Orbit and onset thresholds of one (params, a, sigma), computed once.
+    """Orbit, onset thresholds and case partition of one (params, a, sigma), computed once.
 
     Classifies and evaluates arrays of onsets: every case formula is a numpy
     expression over the onsets of that case, with the onset-free factors
@@ -180,6 +180,32 @@ class PulseContext:
             0.5 + math.sqrt(0.25 + a * math.expm1(sigma) * math.exp(tau) / bu))
         self.thresholds = Thresholds(delta1=d1, delta1_hat=d1_hat, delta2=d2,
                                      delta_bar=d_bar, delta2_relaxed=not d2 < orb.z2)
+        # each case's upper end, by the rule of ``classify``
+        z1, z2, t_max, T = orb.z1, orb.z2, orb.t_max, orb.period
+        ends = (
+            (CaseCode.RNRN, min(_end(d1, False), _end(z1, False))),
+            (CaseCode.RNRP, _end(z1, False)),
+            (CaseCode.RPRP, min(_end(t_max - sigma, True), _end(t_max, False))),
+            (CaseCode.RPFP, min(_end(d2, True), _end(t_max, False))),
+            (CaseCode.RPFN, _end(t_max, False)),
+            (CaseCode.FPFP, min(_end(d2, True), _end(z2, True))),
+            (CaseCode.FPFN, _end(z2, True)),
+            (CaseCode.FNFP, min(_end(d2, True), _end(T - sigma, False))),
+            (CaseCode.FNFN, _end(T - sigma, False)),
+            (CaseCode.FNRN, min(_end(T + d1, False), _end(T, False))),
+            (CaseCode.FNRP, _end(T, False)),
+        )
+        intervals, cuts, start = [], [], _end(0.0, False)
+        for code, end in ends:
+            if end[0] > start[0]:   # the interval holds a double
+                intervals.append(CaseInterval(code, start[1], end[1], not start[2], end[2]))
+                cuts.append(end[0])
+                start = end
+        #: the nonempty case intervals of [0, T) in onset order; each starts
+        #: where the one before it ends
+        self.partition = tuple(intervals)
+        #: the first double past each interval of the partition, and its case
+        self._cuts = np.array(cuts), np.array([_IX[iv.code] for iv in intervals])
 
     @cached_property
     def _history(self) -> History:
@@ -194,45 +220,6 @@ class PulseContext:
             raise OutOfDomainError(f"delta = {float(d[bad][0])} outside "
                                    f"[0, T = {self.orbit.period})")
         return d
-
-    @cached_property
-    def _intervals(self) -> tuple[tuple[CaseCode, tuple, tuple], ...]:
-        """(case, end before, end) of each nonempty case interval of [0, T),
-        in onset order, by the rule of ``classify``."""
-        orb, th, sigma = self.orbit, self.thresholds, self.sigma
-        z1, z2, t_max, T, d2 = orb.z1, orb.z2, orb.t_max, orb.period, th.delta2
-        ends = (
-            (CaseCode.RNRN, min(_end(th.delta1, False), _end(z1, False))),
-            (CaseCode.RNRP, _end(z1, False)),
-            (CaseCode.RPRP, min(_end(t_max - sigma, True), _end(t_max, False))),
-            (CaseCode.RPFP, min(_end(d2, True), _end(t_max, False))),
-            (CaseCode.RPFN, _end(t_max, False)),
-            (CaseCode.FPFP, min(_end(d2, True), _end(z2, True))),
-            (CaseCode.FPFN, _end(z2, True)),
-            (CaseCode.FNFP, min(_end(d2, True), _end(T - sigma, False))),
-            (CaseCode.FNFN, _end(T - sigma, False)),
-            (CaseCode.FNRN, min(_end(T + th.delta1, False), _end(T, False))),
-            (CaseCode.FNRP, _end(T, False)),
-        )
-        out, start = [], _end(0.0, False)
-        for code, end in ends:
-            if end[0] > start[0]:   # the interval holds a double
-                out.append((code, start, end))
-                start = end
-        return tuple(out)
-
-    @cached_property
-    def partition(self) -> tuple[CaseInterval, ...]:
-        """The nonempty case intervals of [0, T) in onset order; each starts
-        where the one before it ends."""
-        return tuple(CaseInterval(code, lo, hi, not lo_out, hi_in)
-                     for code, (_, lo, lo_out), (_, hi, hi_in) in self._intervals)
-
-    @cached_property
-    def _cuts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The first double past each interval of the partition, and its case."""
-        return (np.array([end[0] for _, _, end in self._intervals]),
-                np.array([_IX[code] for code, _, _ in self._intervals]))
 
     def classify(self, deltas) -> tuple[np.ndarray, np.ndarray]:
         """Case indices into CODES and the RNRP2 flag of each onset.

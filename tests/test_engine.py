@@ -272,3 +272,17 @@ def test_value_past_the_horizon_raises_traj_domain(p1):
         with pytest.raises(ValidationError) as err:
             traj.value(t)
         assert err.value.clause == "traj_domain", t
+
+
+def test_arc_chains_keep_no_derived_tables(p1, orb1):
+    """Lookups, extrema and samples are computed from ``arcs``: they leave
+    nothing in the instance beyond its dataclass fields."""
+    from dataclasses import fields
+    traj = evolve(p1, orb1.history_min_phase(), 10.0)
+    hist = traj.history
+    traj.value(-0.5), traj.value(3.0), traj.breakpoint_extrema(-1.0, 8.0)
+    traj.sample(np.linspace(-1.0, 10.0, 50))
+    hist.value(-0.5), hist.values(np.linspace(-1.0, 0.0, 5))
+    orb1.value(7.0), orb1.sample(np.linspace(0.0, 20.0, 50))
+    for obj in (traj, hist, orb1):
+        assert vars(obj).keys() == {f.name for f in fields(obj)}, type(obj)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relaydde import (History, HorizonExhausted, MergePhase, ModelParams,
-                      RegimeError, evolve, merge_time, periodic_solution)
+                      RegimeError, ValidationError, evolve, merge_time, periodic_solution)
 
 import _expected as exp
 from conftest import random_oscillatory, random_z0_history
@@ -161,3 +161,15 @@ def test_value_takes_the_earlier_arc_at_every_arc_end(p1, p2):
             differs += nxt.value(t) != arc.value(t)
     # the later arc gives other bits at some breakpoints, so a switch to it shows
     assert differs
+
+
+def test_value_at_extreme_times_and_a_non_finite_time(orb1, orb2):
+    for orb in (orb1, orb2):
+        # every finite time reduces onto an arc, so no fall-back arc is needed
+        for t in (1e300, -1e300, 5e-324, -5e-324, *(a.t_end for a in orb.arcs)):
+            for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)):
+                assert orb.x_min - 1e-12 <= orb.value(x) <= orb.x_max + 1e-12, x
+        for t in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValidationError) as err:
+                orb.value(t)
+            assert err.value.clause == "orbit_time_finite", t

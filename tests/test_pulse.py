@@ -582,3 +582,36 @@ def test_context_builds_the_orbit_history_on_the_first_simulated_run(p1, monkeyp
         J = ctx.stats(d, simulated=True).J
         assert type(J) is int and J == closed.J[i] == (0, 1, 1, 2, 2)[i], d
     assert built == [1]
+
+
+# ------------------------------------------- agreement on the whole domain
+
+def test_closed_form_equals_simulation_on_the_whole_domain():
+    """Far beyond random_pulse_setup: log-uniform tau in [1e-3, 50] and betas
+    in [1e-4, 100], sigma down to 1e-6 tau, a <= beta_U/2, and onsets on 0 and
+    on every threshold in [0, T), each also one ulp above. The a -> beta_U
+    edge is left out: the two routes are known to disagree there."""
+    rng = np.random.default_rng(47)
+    lo, hi = np.log([1e-3, 1e-4, 1e-4]), np.log([50.0, 100.0, 100.0])
+    pulses = 0
+    for _ in range(40):
+        params = ModelParams(*np.exp(rng.uniform(lo, hi)).tolist())
+        for fs in (1e-6, 0.5, 1.0):
+            for fa in (1e-6, 0.5):
+                a, sigma = fa * params.beta_u, fs * params.tau
+                ctx = PulseContext(params, a, sigma)
+                orb, th, T = ctx.orbit, ctx.thresholds, ctx.orbit.period
+                onsets = {0.0}
+                for d in (th.delta1, th.delta1_hat, th.delta2, th.delta_bar, orb.z1, orb.z2,
+                          orb.t_max, orb.t_max - sigma, T - sigma, T + th.delta1):
+                    onsets |= {x for x in (d, math.nextafter(d, math.inf)) if 0.0 <= x < T}
+                onsets = sorted(onsets)
+                closed = ctx.response(onsets)
+                for i, d in enumerate(onsets):
+                    sim = ctx.simulated(d, Case.of(closed.code[i], closed.rnrp2[i]))
+                    for got, want in ((sim.T, closed.T[i]), (sim.x_min, closed.x_min[i]),
+                                      (sim.x_max, closed.x_max[i])):
+                        assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), \
+                            (params, a, sigma, d, CODES[closed.code[i]])
+                pulses += len(onsets)
+    assert pulses > 3000
