@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
-from typing import Optional
+from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,33 +37,103 @@ PRESETS = {
 
 
 def _dump_json(obj) -> str:
-    def enc(o):
-        if isinstance(o, (float, np.floating)):
-            x = float(o)
-            if math.isfinite(x):
-                return x   # repr round-trips every double
-            return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
-        if isinstance(o, dict):
-            return {k: enc(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [enc(v) for v in o]
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        return o
-    return json.dumps(enc(obj), indent=2, sort_keys=True)
+    """obj as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it, with
+    every float (numpy floats too) as its shortest repr, or as the string
+    "inf", "-inf" or "nan"; numpy integers as ints; tuples as lists. Dict keys
+    must be str. TypeError for any other value. ``_Records`` are written as
+    lists of objects. json's own indenting encoder runs in pure Python and
+    takes several times as long."""
+    out: list[str] = []
+    _json(obj, "\n", out)
+    return "".join(out)
 
 
-_JSON_BOOL = ("false", "true")
+class _Records(NamedTuple):
+    """A list of JSON objects given as columns: object i maps keys[j] to
+    columns[j][i]. A column is an array, or a list of Python floats, of bools
+    or of str; its first value's type is taken for all."""
+
+    keys: tuple[str, ...]
+    columns: tuple
 
 
-def _zeros_json(zeros) -> str:
-    """_dump_json({"zeros": [{"t": z.t, "up": z.up}, ...]}) for finite float
-    times, without json's pure-Python indenting encoder."""
-    if not zeros:
-        return '{\n  "zeros": []\n}'
-    body = ",\n".join([f'    {{\n      "t": {z.t!r},\n      "up": {_JSON_BOOL[z.up]}\n    }}'
-                       for z in zeros])
-    return '{\n  "zeros": [\n' + body + '\n  ]\n}'
+_JSON_CONST = {None: "null", False: "false", True: "true"}
+
+
+def _json_float(x: float) -> str:
+    """Shortest repr; inf, -inf and nan as JSON strings."""
+    return float.__repr__(x) if x - x == 0.0 else f'"{float.__repr__(x)}"'
+
+
+def _json(o, nl: str, out: list[str]) -> None:
+    """Append o's JSON text to out; nl is a newline plus the indent of o's
+    first line. Pieces are joined once, so long texts are not copied again
+    at each level."""
+    if isinstance(o, (float, np.floating)):
+        out.append(_json_float(float(o)))
+    elif isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None or o is True or o is False:
+        out.append(_JSON_CONST[o])
+    elif isinstance(o, (int, np.integer)):
+        out.append(int.__repr__(int(o)))
+    elif isinstance(o, _Records):
+        _records_json(o, nl, out)
+    elif isinstance(o, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            out.append(sep + _quote(k) + ": ")
+            _json(o[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}" if o else "{}")
+    elif isinstance(o, (list, tuple)):
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]" if o else "[]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_column(column) -> list[str]:
+    """The JSON text of each value of one _Records column."""
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    if not values:
+        return []
+    if type(values[0]) is bool:
+        return list(map(_JSON_CONST.__getitem__, values))
+    if type(values[0]) is not float:
+        return list(map(_quote, values))
+    if math.isfinite(sum(values)):   # then no inf or nan is among them
+        return list(map(repr, values))
+    return list(map(_json_float, values))
+
+
+def _records_json(records: _Records, nl: str, out: list[str]) -> None:
+    """Append every object of records, laid out by one pattern: each
+    value's text after the fixed text that comes before it."""
+    keys, columns = records
+    n = len(columns[0])
+    if not n:
+        out.append("[]")
+        return
+    inner, field = nl + "  ", nl + "    "
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    heads = [_quote(keys[j]) + ": " for j in order]
+    before = [inner + "}," + inner + "{" + field + heads[0]]
+    before += ["," + field + h for h in heads[1:]]
+    step = 2 * len(order)
+    parts = [""] * (step * n + 1)
+    for i, j in enumerate(order):
+        parts[2 * i:-1:step] = [before[i]] * n
+        parts[2 * i + 1:-1:step] = _json_column(columns[j])
+    parts[0] = "[" + inner + "{" + field + heads[0]
+    parts[-1] = inner + "}" + nl + "]"
+    out += parts
 
 
 def _check_samples(n: int) -> None:
@@ -150,7 +220,8 @@ def _cmd_simulate(args) -> int:
         _write(traj.arcs_json(), args.out)
     else:
         _write(_trajectory_csv(traj, args.samples), args.out)
-    _write(_zeros_json(traj.zeros), args.zeros_out)
+    zeros = _Records(("t", "up"), ([z.t for z in traj.zeros], [z.up for z in traj.zeros]))
+    _write(_dump_json({"zeros": zeros}), args.zeros_out)
     return 0
 
 
@@ -172,9 +243,8 @@ def _cmd_sweep(args) -> int:
     params = _params_from(args)
     table = cycle_length_map(params, args.amp, args.sigma, args.grid)
     if args.format == "json":
-        cols = (table.delta.tolist(), table.cases(), table.T.tolist(),
-                table.x_min.tolist(), table.x_max.tolist())
-        rows = [dict(zip(("delta", "case", "T", "xmin", "xmax"), r)) for r in zip(*cols)]
+        rows = _Records(("delta", "case", "T", "xmin", "xmax"),
+                        (table.delta, table.cases(), table.T, table.x_min, table.x_max))
         _write(_dump_json(rows), args.out)
     else:
         _write(table.csv_text(), args.out)
@@ -331,10 +401,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _commands(ap: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """ap's subcommand parsers by name."""
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     ap = _parser()
+    sub = _commands(ap).get(argv[0]) if argv else None
     try:
-        args = ap.parse_args(argv)
+        if sub is None:
+            args = ap.parse_args(argv)
+        else:
+            # the main parser would hand argv[1:] to sub after scanning it
+            # once more itself
+            args, extra = sub.parse_known_args(argv[1:])
+            args.command = argv[0]
+            if extra:   # the main parser reports them, in its own words
+                args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

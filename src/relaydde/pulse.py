@@ -195,17 +195,27 @@ class PulseContext:
             (CaseCode.FNRN, min(_end(T + d1, False), _end(T, False))),
             (CaseCode.FNRP, _end(T, False)),
         )
-        intervals, cuts, start = [], [], _end(0.0, False)
+        kept, start = [], _end(0.0, False)
         for code, end in ends:
             if end[0] > start[0]:   # the interval holds a double
-                intervals.append(CaseInterval(code, start[1], end[1], not start[2], end[2]))
-                cuts.append(end[0])
+                kept.append((code, end))
                 start = end
-        #: the nonempty case intervals of [0, T) in onset order; each starts
-        #: where the one before it ends
-        self.partition = tuple(intervals)
+        #: the case and upper end of each interval of the partition
+        self._case_ends = tuple(kept)
         #: the first double past each interval of the partition, and its case
-        self._cuts = np.array(cuts), np.array([_IX[iv.code] for iv in intervals])
+        self._cuts = (np.array([end[0] for _, end in kept]),
+                      np.array([_IX[code] for code, _ in kept]))
+
+    @property
+    def partition(self) -> tuple[CaseInterval, ...]:
+        """The nonempty case intervals of [0, T) in onset order; each starts
+        where the one before it ends. Built on each read: only sweeps and
+        case_sequence need them."""
+        intervals, start = [], _end(0.0, False)
+        for code, end in self._case_ends:
+            intervals.append(CaseInterval(code, start[1], end[1], not start[2], end[2]))
+            start = end
+        return tuple(intervals)
 
     @cached_property
     def _history(self) -> History:

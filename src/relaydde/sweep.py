@@ -139,15 +139,16 @@ def cycle_length_map(params: ModelParams, a: float, sigma: float, n_grid: int,
     else:
         r = ctx.response(deltas)
         code, rnrp2, T, x_min, x_max = r.code, r.rnrp2, r.T, r.x_min, r.x_max
+    partition = ctx.partition
     # the map lives on [0, T); report the left limit toward T separately
-    t_left_limit = float(ctx.cycle_length(orb.period, ctx.partition[-1].code))
+    t_left_limit = float(ctx.cycle_length(orb.period, partition[-1].code))
     markers = {"delta1": th.delta1, "z1": orb.z1, "tmax_minus_sigma": orb.t_max - sigma,
                "delta2": th.delta2, "tmax": orb.t_max, "z2": orb.z2,
                "T_minus_sigma": orb.period - sigma, "T": orb.period,
                "delta_bar": th.delta_bar, "delta1_hat": th.delta1_hat,
                "T_left_limit": t_left_limit}
     return SweepTable(params, a, sigma, deltas, code, rnrp2, T, x_min, x_max,
-                      markers, th, orb, ctx.partition)
+                      markers, th, orb, partition)
 
 
 def case_sequence(params: ModelParams, a: float, sigma: float) -> list[CaseInterval]:

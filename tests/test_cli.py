@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from importlib import resources
 
 import jsonschema
@@ -375,17 +376,6 @@ def test_therapy_trajectory_bytes_equal_per_value_formatting(capsys, tmp_path):
         assert path.read_text() == _fstring_csv(treated, n) + "\n", n
 
 
-def test_zeros_json_equals_dump_json():
-    from relaydde import History, Zero, evolve
-    params = cli.PRESETS["p1"]
-    many = evolve(params, History.constant(1.0, 1.0), 5000.0).zeros
-    assert len(many) > 3000
-    odd = (Zero(5e-324, True), Zero(1e300, False), Zero(0.1 + 0.2, True))
-    for zeros in ((), many[:1], many, odd):
-        want = cli._dump_json({"zeros": [{"t": z.t, "up": z.up} for z in zeros]})
-        assert cli._zeros_json(zeros) == want
-
-
 def test_negative_samples_and_infinite_horizon_exit_code(capsys, tmp_path):
     path = tmp_path / "treated.csv"
     for argv, clause in (
@@ -495,3 +485,92 @@ def test_only_simulated_runs_build_the_orbit_history(capsys, monkeypatch):
         built.clear()
         assert run_cli(capsys, *argv)[0] == 0, argv
         assert len(built) == n, argv
+
+
+# the partition PulseContext built eagerly, before it became a property
+_PARTITION_P1 = [
+    ("RNRN", "0x0.0p+0", "0x1.0f01f7421ddf8p-2", True, False),
+    ("RNRP", "0x1.0f01f7421ddf8p-2", "0x1.a26d3c71e478ap-1", True, False),
+    ("RPRP", "0x1.a26d3c71e478ap-1", "0x1.6ad037d28bd5ep+0", True, True),
+    ("RPFP", "0x1.6ad037d28bd5ep+0", "0x1.c7244f3bf5a47p+0", False, True),
+    ("RPFN", "0x1.c7244f3bf5a47p+0", "0x1.d1369e38f23c5p+0", False, False),
+    ("FPFN", "0x1.d1369e38f23c5p+0", "0x1.0bc2cc8837839p+1", True, True),
+    ("FNFN", "0x1.0bc2cc8837839p+1", "0x1.588f995504506p+1", False, False),
+    ("FNRN", "0x1.588f995504506p+1", "0x1.8bc2cc8837839p+1", True, False),
+]
+_PARTITION_P2 = [
+    ("RNRP", "0x0.0p+0", "0x1.3bc6bbad2b01ap-2", True, False),
+    ("RPRP", "0x1.3bc6bbad2b01ap-2", "0x1.d1169109c8b3fp-1", True, True),
+    ("RPFP", "0x1.d1169109c8b3fp-1", "0x1.4ef1aeeb4ac06p+0", False, False),
+    ("FPFP", "0x1.4ef1aeeb4ac06p+0", "0x1.bd418b620d883p+0", True, True),
+    ("FPFN", "0x1.bd418b620d883p+0", "0x1.06d16a9b43757p+1", False, True),
+    ("FNFN", "0x1.06d16a9b43757p+1", "0x1.539e376810424p+1", False, False),
+    ("FNRN", "0x1.539e376810424p+1", "0x1.753304d6333e7p+1", True, False),
+    ("FNRP", "0x1.753304d6333e7p+1", "0x1.86d16a9b43757p+1", True, False),
+]
+
+
+def test_classify_builds_no_case_interval(capsys, monkeypatch):
+    """classify reads only the partition's cut points; the partition,
+    built on each read, still gives the intervals of the eager build."""
+    from relaydde import PulseContext, pulse
+    built = []
+    case_interval = pulse.CaseInterval
+    monkeypatch.setattr(pulse, "CaseInterval",
+                        lambda *args: built.append(1) or case_interval(*args))
+    for preset in ("p1", "p2"):
+        for relaxed in ((), ("--relaxed",)):
+            argv = ("classify", "--preset", preset, "--amp", "0.2", "--sigma", "0.4",
+                    "--delta", "1.0", *relaxed)
+            assert run_cli(capsys, *argv)[0] == 0, argv
+    assert built == []
+    for preset, want in (("p1", _PARTITION_P1), ("p2", _PARTITION_P2)):
+        got = PulseContext(cli.PRESETS[preset], 0.2, 0.4).partition
+        assert [(iv.code.value, iv.lo.hex(), iv.hi.hex(), iv.lo_closed, iv.hi_closed)
+                for iv in got] == want, preset
+    assert len(built) == 16
+
+
+_PULSE = ("--preset", "p1", "--amp", "0.2", "--sigma", "0.4")
+_DISPATCH = [
+    (), ("-h",), ("bogus",), ("bogus", "--preset", "p1"), ("--preset", "p1"),
+    *[(command, "-h") for command in ("orbit", "simulate", "classify", "sweep", "therapy",
+                                      "threelevel", "verify")],
+    ("classify", "--help"), ("orbit", "--bogus", "-h"),
+    ("classify", *_PULSE),                                     # missing --delta
+    ("classify", *_PULSE, "--delta", "0.1", "--bogus"),        # unknown option
+    ("classify", *_PULSE, "--delta", "0.1", "extra"),          # extra positional
+    ("classify", "--pre", "p1", "--am", "0.2", "--sig", "0.4", "--del", "0.1"),
+    ("orbit", "--t", "1"),                                     # ambiguous abbreviation
+    ("classify", "--preset=p1", "--amp=0.2", "--sigma=0.4", "--delta=0.1"),
+    ("classify", *_PULSE, "--delta", "0.1", "--", "extra"),
+    ("orbit", "--", "--preset", "p1"), ("orbit", "--preset", "p1", "--"),
+    ("sweep", *_PULSE, "--format", "xml"), ("classify", *_PULSE, "--delta", "x"),
+    ("orbit", "--preset", "p1"), ("classify", *_PULSE, "--delta", "-1"),
+    ("sweep", *_PULSE, "--grid", "16", "--format", "json"),
+    ("therapy", "--preset", "p2", "--sigma", "0.3", "--x-d", "-5"),
+]
+
+
+def _parse_then_run(argv):
+    """What main() did before it parsed with the subcommand's own parser."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.fn(args)
+    except cli.PlanInfeasible as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return 3
+    except cli.RelayDDEError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def test_dispatch_matches_the_full_parser(capsys):
+    """main() parses with the subcommand's parser and leaves errors to the
+    main parser: exit code, stdout and stderr are argparse's own."""
+    for argv in _DISPATCH:
+        want = _parse_then_run(list(argv)), *capsys.readouterr()
+        assert run_cli(capsys, *argv) == want, argv
