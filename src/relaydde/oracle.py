@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import MismatchedExperiment, StepTooLarge
+from .exceptions import MismatchedExperiment, StepTooLarge, ValidationError
 from .params import ModelParams
 
 
@@ -127,6 +127,9 @@ def integrate_dense(params: ModelParams, history,
     vectorized ``.values`` works too). The step is snapped to
     tau/round(tau/h) so the grid contains t = 0.
     """
+    if not (pulse is None or isinstance(pulse, OraclePulse)):
+        raise ValidationError("oracle_pulse", f"pulse must be an OraclePulse or None, "
+                                              f"got {pulse!r}")
     tau, bl, bu = params.tau, params.beta_l, params.beta_u
     if h > tau / 100:
         raise StepTooLarge(f"h = {h} must be <= tau/100 = {tau / 100}")

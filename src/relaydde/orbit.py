@@ -150,47 +150,68 @@ def merge_window(orbit: PeriodicOrbit) -> float:
     return orbit.period + 2 * orbit.params.tau + orbit.period
 
 
-class _MergeScan:
-    """Merge validation of a chain's zeros, each zero once, in time order.
+def _zero_before(history: History) -> float:
+    """The history's last sign change in (-tau, 0), -inf when there is none:
+    the gap of a run's first zero is measured from it."""
+    marks = history.branch_markers((0.0,))
+    return marks[-1][0] if marks else -math.inf
 
-    A zero z >= t_free is a merge when the chain on its check window
+
+class _MergeScan:
+    """Merge search over a chain's zeros, each zero once, in time order.
+
+    The solution after a zero z depends only on the sign of x over
+    [z - tau, z). So a zero z >= t_free whose previous zero lies at least
+    tau earlier (within two ties) has the state of the orbit's zero of its
+    direction: it is the merge as soon as it is booked. A zero with a
+    shorter gap is a merge when the chain on its check window
     [z, min(second.t_end, z + 2*tau)] equals the two orbit arcs following z
-    (translated to z) within 1e-10 in (c, k) data. ``chain`` holds the
-    history arcs and then the solution arcs; a caller may keep appending
-    arcs, and a zero is checked as soon as the chain covers its window.
+    (translated to z) within 1e-10 in (c, k) data. ``prev`` is the zero
+    before the chain's first one; ``chain`` holds the history arcs and then
+    the solution arcs. A caller may keep appending arcs: a short-gap zero is
+    checked as soon as the chain covers its window.
     """
 
-    def __init__(self, orbit: PeriodicOrbit, chain: list[ExpArc], t_free: float):
-        self.orbit, self.chain, self.t_free = orbit, chain, t_free
+    def __init__(self, orbit: PeriodicOrbit, chain: list[ExpArc], t_free: float,
+                 prev: float):
+        self.orbit, self.chain, self.t_free, self.prev = orbit, chain, t_free, prev
         self._free_from = t_free - _tie(t_free)
         self.found: Optional[MergeInfo] = None
-        self.done = 0      # zeros checked, or skipped as earlier than t_free
+        self.done = 0      # zeros decided, or skipped as earlier than t_free
         self.first = 0     # chain arcs before this one end before the next zero
-        # the next zero to check: time, phase, expected arcs, window end, its
-        # tie, and the bounds z + tie(z) and end - tie(end) of the arcs it keeps
+        # the short-gap zero being checked: time, phase, expected arcs, window
+        # end, its tie, and the bounds z + tie(z) and end - tie(end) of the
+        # arcs it keeps
         self._next: Optional[tuple] = None
 
     def advance(self, zeros: Sequence[Zero], covered: float,
                 final: bool = False) -> Optional[MergeInfo]:
-        """Check the zeros whose windows the chain, which ends at ``covered``,
-        now decides; the merge once found.
+        """Decide the zeros that the chain, which ends at ``covered``, now
+        decides; the merge once found.
 
-        Until ``final`` (no arc will follow) a window also waits for the
-        chain to pass the point where a later arc could still reach into it.
+        Until ``final`` (no arc will follow) a short-gap zero's window also
+        waits for the chain to pass the point where a later arc could still
+        reach into it.
         """
         tau = self.orbit.params.tau
         while self.found is None and self.done < len(zeros):
             if self._next is None:
                 zero = zeros[self.done]
-                if zero.t < self._free_from:
+                z = zero.t
+                if z < self._free_from:
+                    self.prev = z
                     self.done += 1
                     continue
                 phase = MergePhase.MAX if zero.up else MergePhase.MIN
-                first, second = _expected_arcs(self.orbit, zero.t, phase)
-                end = min(second.t_end, zero.t + 2 * tau)
+                if z - self.prev >= tau - 2 * _tie(z):
+                    self.found = MergeInfo(zero=z, phase=phase)
+                    self.done += 1
+                    break
+                first, second = _expected_arcs(self.orbit, z, phase)
+                end = min(second.t_end, z + 2 * tau)
                 tie_end = _tie(end)
-                self._next = (zero.t, phase, (first, second), end, tie_end,
-                              zero.t + _tie(zero.t), end - tie_end)
+                self._next = (z, phase, (first, second), end, tie_end,
+                              z + _tie(z), end - tie_end)
             z, phase, expected, end, tie_end, z_in, end_in = self._next
             if end > covered + tie_end or (not final and covered < end_in):
                 return None
@@ -203,13 +224,16 @@ class _MergeScan:
                 j += 1
             if chains_equal(chain[i:j], expected, z, end, tol=1e-10):
                 self.found = MergeInfo(zero=z, phase=phase)
+            self.prev = z
             self._next = None
             self.done += 1
         return self.found
 
     def finish(self, zeros: Sequence[Zero], horizon: float) -> Optional[MergeInfo]:
         """The merge of a chain that ends at ``horizon``; None when there
-        provably is none, HorizonExhausted when the horizon cannot decide."""
+        provably is none, HorizonExhausted when the horizon cannot decide:
+        a short-gap zero's window is not covered, or no merge was found and
+        the horizon ends before t_free + merge_window."""
         if self.advance(zeros, horizon, final=True) is not None:
             return self.found
         if self.done < len(zeros) or horizon < self.t_free + merge_window(self.orbit):
@@ -222,12 +246,14 @@ def merge_time(traj: Trajectory, orbit: PeriodicOrbit,
                t_free: float = 0.0) -> Optional[MergeInfo]:
     """Earliest zero z >= t_free where the trajectory joins the orbit.
 
-    The join is validated exactly: the two arcs following z must equal the
-    orbit arcs (translated to z) within 1e-10 in (c, k) data. Matching on a
-    full delay interval pins the state onto the orbit, so the check is
-    conclusive. Returns None when the trajectory provably has no merge zero
-    before the horizon; raises HorizonExhausted when the horizon is too short
-    to decide.
+    The join is decided from the zeros: a zero whose previous zero lies at
+    least tau earlier is on the orbit. A zero with a shorter gap is a merge
+    when the two arcs following it equal the orbit arcs (translated to z)
+    within 1e-10 in (c, k) data; matching on a full delay interval pins the
+    state onto the orbit. Returns None when the trajectory provably has no
+    merge zero before the horizon; raises HorizonExhausted when the horizon
+    is too short to decide.
     """
-    scan = _MergeScan(orbit, [*traj.history.arcs, *traj.arcs], t_free)
+    scan = _MergeScan(orbit, [*traj.history.arcs, *traj.arcs], t_free,
+                      _zero_before(traj.history))
     return scan.finish(traj.zeros, traj.horizon)

@@ -29,8 +29,8 @@ import numpy as np
 from .arcs import History
 from .engine import PulseWindow, StopHook, Trajectory, _evolve
 from .exceptions import OutOfDomainError, StandingHypothesisViolated
-from .orbit import (MergeInfo, MergePhase, PeriodicOrbit, _MergeScan, merge_window,
-                    periodic_solution)
+from .orbit import (MergeInfo, MergePhase, PeriodicOrbit, _MergeScan, _zero_before,
+                    merge_window, periodic_solution)
 from .params import ModelParams, PulseSpec, check_pulse
 
 
@@ -78,7 +78,8 @@ class Thresholds:
     delta1_hat: float
     delta2: float
     delta_bar: float
-    #: relaxed mode only: delta2 >= z2 (cases FNFP possible); delta2 may be inf
+    #: relaxed mode only: a >= beta_U, so delta2 >= z2 (cases FNFP possible);
+    #: delta2 may be inf
     delta2_relaxed: bool = False
 
 
@@ -174,12 +175,14 @@ class PulseContext:
         d1_hat = orb.z1 - sigma + math.log(bl / gain)
         if gain < bu:
             d2 = orb.z2 - sigma + math.log(bu / (bu - gain))
+            if a < bu and not d2 < orb.z2:         # delta2 < z2 exactly when a < beta_U
+                d2 = math.nextafter(orb.z2, -math.inf)
         else:
             d2 = math.inf                          # offset value never negative
         d_bar = orb.period - math.log(
             0.5 + math.sqrt(0.25 + a * math.expm1(sigma) * math.exp(tau) / bu))
         self.thresholds = Thresholds(delta1=d1, delta1_hat=d1_hat, delta2=d2,
-                                     delta_bar=d_bar, delta2_relaxed=not d2 < orb.z2)
+                                     delta_bar=d_bar, delta2_relaxed=not a < bu)
         # each case's upper end, by the rule of ``classify``
         z1, z2, t_max, T = orb.z1, orb.z2, orb.t_max, orb.period
         ends = (
@@ -218,9 +221,11 @@ class PulseContext:
         return tuple(intervals)
 
     @cached_property
-    def _history(self) -> History:
-        """The orbit's min-phase segment, where every simulated run starts."""
-        return self.orbit.history_min_phase()
+    def _start(self) -> tuple[History, float]:
+        """The orbit's min-phase segment, where every simulated run starts,
+        and its last sign change before t = 0 (none: -inf)."""
+        history = self.orbit.history_min_phase()
+        return history, _zero_before(history)
 
     def _onsets(self, deltas) -> np.ndarray:
         """The onsets as a float array; OutOfDomainError unless all are in [0, T)."""
@@ -390,21 +395,27 @@ class PulseContext:
         """Cycle length and extrema of one onset measured from an event-driven
         run; ``case`` is the onset's classification.
 
-        The run ends on the arc that validates the merge; without a merge it
-        runs to the full horizon.
+        The run ends on the first arc past z_def, the zero that ends the
+        perturbed cycle; without a merge it runs to the full horizon.
         """
         params, orb = self.params, self.orbit
         J = int(_j_delta(orb, delta))
-        scan = _MergeScan(orb, list(self._history.arcs), delta + self.sigma)
+        history, prev = self._start
+        scan = _MergeScan(orb, list(history.arcs), delta + self.sigma, prev)
+        z_def = math.inf
 
         def stop(arc, zeros):
-            # The arc that completes the merge window [z, z + 2tau] is the
-            # orbit's second arc after z. It ends one delay past the next zero,
-            # so it covers z_def and every zero up to it.
-            scan.chain.append(arc)
-            return scan.advance(zeros, arc.t_end) is not None
+            # Once the merge is found, the arc that ends past z_def has booked
+            # the zero at z_def and covers the extrema up to it.
+            nonlocal z_def
+            if scan.found is None:
+                scan.chain.append(arc)
+                if scan.advance(zeros, arc.t_end) is None:
+                    return False
+                z_def = self._z_def(scan.found, J)
+            return arc.t_end > z_def + 1e-12
 
-        traj = _pulsed(params, orb, self._history, self.a, delta, self.sigma, stop=stop)
+        traj = _pulsed(params, orb, history, self.a, delta, self.sigma, stop=stop)
         merged = scan.found or scan.finish(traj.zeros, traj.horizon)
         if merged is None:
             zs = tuple(z.t for z in traj.zeros)

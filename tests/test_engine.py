@@ -144,9 +144,11 @@ def test_identically_zero_arc_raises_typed(p1):
 
 def test_one_arc_built_per_emitted_arc(p1, orb1, monkeypatch):
     # the engine builds only the arcs it emits, and the merge scan only the
-    # two expected orbit arcs of each zero it checks
-    from relaydde import engine, orbit, pulse
-    built = {"engine": 0, "orbit": 0}
+    # two expected orbit arcs of each zero it checks against the chain: none
+    # on these pulses, whose merge zeros each lie a delay past the zero before
+    from conftest import count_calls
+    from relaydde import arcs, engine, orbit, pulse
+    built = {"engine": 0, "orbit": 0, "chains_equal": 0}
 
     def counting(where):
         class Counted(ExpArc):
@@ -155,22 +157,19 @@ def test_one_arc_built_per_emitted_arc(p1, orb1, monkeypatch):
                 super().__post_init__()
         return Counted
 
+    runs = []
+    evolve_ = pulse._evolve
+    monkeypatch.setattr(pulse, "_evolve", lambda *args: runs.append(evolve_(*args)) or runs[-1])
     monkeypatch.setattr(engine, "ExpArc", counting("engine"))
     monkeypatch.setattr(orbit, "ExpArc", counting("orbit"))
-    hist = orb1.history_min_phase()
+    count_calls(monkeypatch, arcs, "chains_equal", built)
+    ctx = pulse.PulseContext(p1, 0.2, 0.4)
+    ctx.stats(0.0, simulated=True)     # builds the context's orbit history
     for delta in np.linspace(0.0, orb1.period, 13, endpoint=False).tolist():
-        built.update(engine=0, orbit=0)
-        scan = orbit._MergeScan(orb1, list(hist.arcs), delta + 0.4)
-
-        def stop(arc, zeros):
-            scan.chain.append(arc)
-            return scan.advance(zeros, arc.t_end) is not None
-
-        traj = pulse._pulsed(p1, orb1, hist, 0.2, delta, 0.4, stop=stop)
-        assert scan.found is not None
-        assert built["engine"] == len(traj.arcs)
-        checked = [z for z in traj.zeros[:scan.done] if z.t >= scan._free_from]
-        assert checked and built["orbit"] == 2 * len(checked)
+        built.update(engine=0, orbit=0, chains_equal=0)
+        assert math.isfinite(ctx.stats(delta, simulated=True).T)
+        assert built["engine"] == len(runs[-1].arcs)
+        assert built["orbit"] == 2 * built["chains_equal"] == 0
 
 
 def test_horizon_validation(p1):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from relaydde import (ExpArc, History, MismatchedExperiment, ModelParams,
-                      OraclePulse, StepTooLarge, Trajectory, compare, evolve,
-                      integrate_dense, periodic_solution)
+                      OraclePulse, PulseWindow, StepTooLarge, Trajectory, ValidationError,
+                      compare, evolve, integrate_dense, periodic_solution)
 from relaydde.oracle import _rk4_a
 
 import _expected as exp
@@ -14,6 +14,14 @@ import _expected as exp
 def test_step_validation(p1):
     with pytest.raises(StepTooLarge):
         integrate_dense(p1, lambda t: 1.0, 3.0, h=0.02)
+
+
+def test_step_in_the_pulse_slot_is_a_typed_error(p1):
+    # the step passed positionally lands in ``pulse``
+    for pulse in (1e-4, PulseWindow(0.2, 1.0, 1.4)):
+        with pytest.raises(ValidationError) as err:
+            integrate_dense(p1, lambda t: 1.0, 3.0, pulse)
+        assert err.value.clause == "oracle_pulse"
 
 
 def test_first_zero_constant_history(p1):

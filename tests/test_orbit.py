@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from relaydde import (History, HorizonExhausted, MergePhase, ModelParams,
-                      RegimeError, ValidationError, evolve, merge_time, periodic_solution)
+from relaydde import (ExpArc, History, HorizonExhausted, MergePhase, ModelParams, PulseSpec,
+                      RegimeError, ValidationError, evolve, merge_time, periodic_solution,
+                      pulsed_trajectory)
+from relaydde.arcs import chains_equal
 
 import _expected as exp
 from conftest import random_oscillatory, random_z0_history
@@ -130,7 +132,12 @@ def test_merge_universality(p1, orb1):
 
 
 def test_merge_horizon_exhausted(p1, orb1):
-    traj = evolve(p1, History.constant(1.0, 1.0), 1.5)
+    # the first zero has no zero before it, so it is the merge as soon as the
+    # run books it; a run that ends before it cannot decide
+    info = merge_time(evolve(p1, History.constant(1.0, 1.0), 1.5), orb1)
+    assert info is not None and info.zero == exp.CONST1_FIRST_ZERO
+    traj = evolve(p1, History.constant(1.0, 1.0), exp.CONST1_FIRST_ZERO - 0.1)
+    assert not traj.zeros
     with pytest.raises(HorizonExhausted):
         merge_time(traj, orb1)
 
@@ -173,3 +180,45 @@ def test_value_at_extreme_times_and_a_non_finite_time(orb1, orb2):
             with pytest.raises(ValidationError) as err:
                 orb.value(t)
             assert err.value.clause == "orbit_time_finite", t
+
+
+def _chain_merge(traj, orb, t_free):
+    """The merge by the chain check alone: the first zero z >= t_free after
+    which the run equals the orbit's arcs, translated to z, on [z, z + 2 tau]
+    within 1e-10 in (c, k) data."""
+    tau = orb.params.tau
+    chain = [*traj.history.arcs, *traj.arcs]
+    for zero in traj.zeros:
+        if zero.t < t_free - 1e-13 * max(1.0, t_free):
+            continue
+        assert zero.t + 2 * tau <= traj.horizon
+        shift = zero.t - (orb.z1 if zero.up else -tau)
+        orbit_arcs = [ExpArc(a.t_start + shift, a.t_end + shift, a.c, a.k) for a in orb.arcs]
+        if chains_equal(chain, orbit_arcs, zero.t, zero.t + 2 * tau, tol=1e-10):
+            return zero
+    return None
+
+
+def test_merge_zero_is_the_chain_check_merge(p1, p2):
+    """The zero-gap rule picks the zero the chain check picks, and the run
+    equals the orbit's two arcs after it: on the p1 and p2 maps and on
+    log-uniform sets at a <= beta_U/2."""
+    rng = np.random.default_rng(53)
+    lo, hi = np.log([1e-3, 1e-4, 1e-4]), np.log([50.0, 100.0, 100.0])
+    setups = [(params, 0.2, 0.4, 128) for params in (p1, p2)]
+    for _ in range(20):
+        params = ModelParams(*np.exp(rng.uniform(lo, hi)).tolist())
+        setups += [(params, fa * params.beta_u, fs * params.tau, 8)
+                   for fs in (1e-6, 0.5, 1.0) for fa in (1e-6, 0.5)]
+    runs = 0
+    for params, a, sigma, n in setups:
+        orb = periodic_solution(params)
+        for delta in (orb.period * np.arange(n) / n).tolist():
+            traj, _ = pulsed_trajectory(params, PulseSpec(a, delta, sigma))
+            info = merge_time(traj, orb, t_free=delta + sigma)
+            want = _chain_merge(traj, orb, delta + sigma)
+            assert info is not None and want is not None, (params, a, sigma, delta)
+            assert info.zero == want.t, (params, a, sigma, delta)
+            assert info.phase is (MergePhase.MAX if want.up else MergePhase.MIN)
+            runs += 1
+    assert runs == 2 * 128 + 20 * 6 * 8

@@ -487,7 +487,7 @@ def _outcome(fn):
 
 
 #: relaxed setups whose runs end in T = inf or HorizonExhausted; the first two
-#: are the a -> beta_U merge defect of ROADMAP item 4
+#: lie on the a -> beta_U edge of the ROADMAP item "Close the a -> beta_U edge"
 _UNDECIDED = [
     (ModelParams(1.194248598062565, 0.26050940086337315, 0.2161689777779397), 1 - 1e-9, 1e-3),
     (ModelParams(0.2544, 50.44, 7.33e-4), 1 - 1e-9, 1.0),
@@ -556,6 +556,48 @@ def test_merged_runs_end_before_the_full_horizon(monkeypatch, p1, p2):
             assert max(st.zeros) < traj.horizon < horizon, (d, traj.horizon, horizon)
         ends.append(st.T == math.inf)
     assert ends == [False] * 5 + [True]
+
+
+def test_maps_merge_on_the_zero_gap_alone(monkeypatch, p1, p2):
+    from conftest import count_calls
+    from relaydde import arcs
+    calls = {"chains_equal": 0}
+    count_calls(monkeypatch, arcs, "chains_equal", calls)
+    for params in (p1, p2):
+        table = cycle_length_map(params, A, SIGMA, 512, simulated=True)
+        assert np.isfinite(table.T).all()
+    assert calls["chains_equal"] == 0
+
+
+def test_short_gap_zero_merges_through_the_chain_check():
+    # The run books two falling zeros 1.2e-6 apart, so its rising zero lies
+    # 1.2e-6 short of a delay past the zero before it. The chain check
+    # confirms that zero; without it the run would merge one period later
+    # (T = 20.309326867365495). The closed form reads 10.154663577975843.
+    params, f, g = _UNDECIDED[1]
+    ctx = PulseContext(params, f * params.beta_u, g * params.tau)
+    d = 9.900265065770649
+    st = ctx.stats(d, simulated=True)
+    assert st.T == 10.154661801594845
+    assert st.zeros == (9.900265065770649, 9.900266249073768, 10.154665065770653)
+    assert st.zeros[2] - st.zeros[1] < params.tau
+    assert float(ctx.response(d).T[0]) == 10.154663577975843
+
+
+def test_fnfp_only_when_a_reaches_beta_u():
+    # delta2 rounded onto z2 here, so the onset classified FNFP and the closed
+    # form raised although a < beta_U
+    params = ModelParams(0.0013474090080196335, 3.319545700893536, 0.16937912278178052)
+    a, sigma, d = (1 - 1e-9) * params.beta_u, 1e-6 * params.tau, 0.027463090588376197
+    ctx = PulseContext(params, a, sigma)
+    assert not ctx.thresholds.delta2_relaxed
+    assert ctx.thresholds.delta2 < ctx.orbit.z2
+    assert ctx.case(d).code is CaseCode.FNFN
+    closed, sim = ctx.stats(d), ctx.stats(d, simulated=True)
+    for got, want in ((sim.T, closed.T), (sim.x_min, closed.x_min), (sim.x_max, closed.x_max)):
+        assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
+    # at a = beta_U the flag is set whatever delta2 rounds to
+    assert PulseContext(params, params.beta_u, sigma).thresholds.delta2_relaxed
 
 
 def test_infinite_amplitude_rejected(p1):
