@@ -57,24 +57,22 @@ class ExpArc:
         return self.k < 0
 
     def crossing(self, level: float = 0.0, lo: Optional[float] = None,
-                 hi: Optional[float] = None, lo_guard: bool = True) -> Optional[float]:
+                 hi: Optional[float] = None) -> Optional[float]:
         """Time in (lo, hi] where the arc crosses ``level``, else None; bounds
         default to the arc span (see crossing_time)."""
         return crossing_time(self.t_start, self.c, self.k, level,
                              self.t_start if lo is None else lo,
-                             self.t_end if hi is None else hi, lo_guard)
+                             self.t_end if hi is None else hi)
 
 
-def crossing_time(t0: float, c: float, k: float, level: float, lo: float, hi: float,
-                  lo_guard: bool = True) -> Optional[float]:
+def crossing_time(t0: float, c: float, k: float, level: float, lo: float,
+                  hi: float) -> Optional[float]:
     """Time in (lo, hi] where c + k*exp(-(t - t0)) crosses ``level``, else None.
 
-    Crossings within the tie tolerance of ``hi`` snap to ``hi``. With
-    ``lo_guard`` (the default) crossings within tolerance of ``lo`` are
-    excluded as belonging to the preceding piece; the solver passes
-    lo_guard=False and deduplicates against already-seen crossings itself, so
-    a genuine crossing just past a segment boundary is not lost. Raises
-    NonTransversalArc for the identically-zero arc when asked for level 0.
+    Crossings within the tie tolerance of ``hi`` snap to ``hi``; crossings
+    within tolerance of ``lo`` are excluded as belonging to the preceding
+    piece. Raises NonTransversalArc for the identically-zero arc when asked
+    for level 0.
     """
     ceff = c - level
     if ceff == 0.0:
@@ -87,7 +85,7 @@ def crossing_time(t0: float, c: float, k: float, level: float, lo: float, hi: fl
     t = t0 + math.log(r)
     if abs(t - hi) <= TIE_EPS * max(1.0, abs(hi)):   # _tie(hi), inline on the hot path
         t = hi
-    if t > hi or (t <= lo + _tie(lo) if lo_guard else t <= lo):
+    if t > hi or t <= lo + _tie(lo):
         return None
     return t
 
@@ -125,44 +123,6 @@ def chain_values(chain: np.ndarray, times: np.ndarray) -> np.ndarray:
     x *= k[idx]
     x += c[idx]
     return x
-
-
-def chains_equal(a: Iterable[ExpArc], b: Iterable[ExpArc],
-                 lo: float, hi: float, tol: float = 1e-10) -> bool:
-    """Whether two chains agree as functions on [lo, hi].
-
-    Compares (c, k) arc data on every subinterval of the merged breakpoint
-    grid, with k re-anchored to the subinterval start; exact representation
-    makes this a finite check.
-    """
-    lo_in, hi_in = lo + _tie(lo), hi - _tie(hi)
-    sa = [x for x in a if x.t_end > lo_in and x.t_start < hi_in]
-    sb = [x for x in b if x.t_end > lo_in and x.t_start < hi_in]
-    if not sa or not sb:
-        return False
-    pts = sorted({lo, hi}
-                 | {p for x in sa for p in (x.t_start, x.t_end) if lo < p < hi}
-                 | {p for x in sb for p in (x.t_start, x.t_end) if lo < p < hi})
-    ia = ib = 0
-    tie_right = _tie(pts[0])
-    for left, right in zip(pts[:-1], pts[1:]):
-        tie_left, tie_right = tie_right, _tie(right)
-        if right - left <= tie_right:
-            continue
-        left_in = left + tie_left
-        while ia < len(sa) - 1 and sa[ia].t_end <= left_in:
-            ia += 1
-        while ib < len(sb) - 1 and sb[ib].t_end <= left_in:
-            ib += 1
-        aa, bb = sa[ia], sb[ib]
-        if aa.t_start > left_in or bb.t_start > left_in:
-            return False
-        ka = aa.k * math.exp(-(left - aa.t_start))
-        kb = bb.k * math.exp(-(left - bb.t_start))
-        scale = max(1.0, abs(aa.c), abs(bb.c), abs(ka), abs(kb))
-        if abs(aa.c - bb.c) > tol * scale or abs(ka - kb) > tol * scale:
-            return False
-    return True
 
 
 def _branch_after(value: float, slope: float, thresholds: tuple[float, ...]) -> int:

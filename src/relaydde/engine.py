@@ -25,9 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arcs import (TIE_EPS, ExpArc, History, _ArcChain, _T_END, _branch_after, _tie,
-                   chain_values, crossing_time)
-from .exceptions import ValidationError
+from .arcs import TIE_EPS, ExpArc, History, _ArcChain, _T_END, _tie, chain_values
+from .exceptions import NonTransversalArc, ValidationError
 from .params import ModelParams
 
 
@@ -151,10 +150,6 @@ class Trajectory(_ArcChain):
                      for d in json.loads(text))
 
 
-def _on_threshold(v: float, th: float) -> bool:
-    return abs(v - th) <= 1e-12 * max(1.0, abs(v), abs(th))
-
-
 def evolve(params: ModelParams, history: History, horizon: float,
            pulse: Optional[PulseWindow] = None,
            feedback: Optional[FeedbackTable] = None) -> Trajectory:
@@ -192,14 +187,6 @@ def _evolve(params: ModelParams, history: History, horizon: float,
     events: list[tuple[float, int, int]] = []   # (time, priority, branch | -1)
     zeros: list[Zero] = []
     crossings: list[tuple[float, int, bool]] = []
-    last_seen: dict[int, float] = {}            # threshold -> last crossing time
-
-    def book(s: float, i: int, up: bool) -> None:
-        last_seen[i] = s
-        crossings.append((s, i, up))
-        if thresholds[i] == 0.0 and s > TIE_EPS:
-            zeros.append(Zero(s, up))
-        heapq.heappush(events, (s + tau, 1, i + 1 if up else i))
 
     if pulse is not None:
         heapq.heappush(events, (pulse.t_on, 0, -1))
@@ -210,15 +197,16 @@ def _evolve(params: ModelParams, history: History, horizon: float,
 
     t, x = 0.0, history.value(0.0)
     arcs: list[ExpArc] = []
-    # pending grazing contact: (time, threshold index, value-branch before)
-    touch: Optional[tuple[float, int, int]] = None
-    last = history.arcs[-1]
-    for i, th in enumerate(thresholds):
-        if _on_threshold(x, th):
-            touch = (0.0, i, i if last.k < 0 else (i + 1 if last.k > 0 else
-                                                   _branch_after(th, 0.0, thresholds)))
-            break
+    # the side of each threshold the solution is on; a value on a threshold
+    # takes the side the history's last arc comes from, and its crossing is
+    # pending: the next arc books it at its start if it moves away from that side
+    pending = [i for i, th in enumerate(thresholds)
+               if abs(x - th) <= 1e-12 * max(1.0, abs(x), abs(th))]
+    above = [history.arcs[-1].k >= 0 if i in pending else x > th
+             for i, th in enumerate(thresholds)]
 
+    upward = range(len(thresholds))
+    downward = upward[::-1]
     t_last = horizon - _tie(horizon)
     while t < t_last:
         tie_t = TIE_EPS * max(1.0, abs(t))   # _tie(t), inline: once per arc
@@ -232,34 +220,37 @@ def _evolve(params: ModelParams, history: History, horizon: float,
         k = x - level      # the arc from t is level + k*exp(-(s - t))
         seg_end = min(events[0][0], horizon) if events else horizon
 
-        if touch is not None:
-            t0, ti, before = touch
-            after = _branch_after(thresholds[ti], -k, thresholds)
-            if after != before:
-                book(t0, ti, up=after > before)
-                seg_end = min(seg_end, t0 + tau)
-            else:
-                last_seen[ti] = t0   # grazing contact: suppress re-detection
-            touch = None
-
-        lo = t
-        while True:
-            nxt = None
-            for i, th in enumerate(thresholds):
-                s = crossing_time(t, level, k, th, lo, seg_end, lo_guard=False)
-                # a crossing within two ties of the last one booked is that one
-                if s is not None and not (s - last_seen.get(i, -math.inf) <= 2 * _tie(s)) \
-                        and (nxt is None or s < nxt[0]):
-                    nxt = (s, i)
-            if nxt is None:
-                break
-            s1, i1 = nxt
-            if s1 >= seg_end - _tie(seg_end):
-                touch = (seg_end, i1, i1 if k < 0 else i1 + 1)
-                break
-            book(s1, i1, up=k < 0)
-            seg_end = min(seg_end, s1 + tau)
-            lo = s1
+        ended_on, pending = pending, []
+        if k != 0.0:
+            # a monotone arc can only cross the thresholds it moves away from
+            # the side of, and meets them in its direction of travel
+            falling = k > 0
+            for i in (downward if falling else upward):
+                th = thresholds[i]
+                if above[i] != falling or level == th:
+                    continue
+                if i in ended_on:
+                    s = t
+                else:
+                    r = -k / (level - th)
+                    if r <= 0.0:
+                        continue
+                    s = max(t + math.log(r), t)
+                    tie_end = _tie(seg_end)
+                    if s > seg_end + tie_end:
+                        continue
+                    if s >= seg_end - tie_end:
+                        pending.append(i)
+                        continue
+                # booked: the side flips and the switch lands a delay later
+                above[i] = not falling
+                crossings.append((s, i, not falling))
+                if th == 0.0 and s > TIE_EPS:
+                    zeros.append(Zero(s, not falling))
+                heapq.heappush(events, (s + tau, 1, i if falling else i + 1))
+                seg_end = min(seg_end, s + tau)
+        elif level == 0.0 and 0.0 in thresholds:
+            raise NonTransversalArc("arc is identically zero")
 
         arc = ExpArc(t, seg_end, level, k)
         arcs.append(arc)
@@ -268,9 +259,8 @@ def _evolve(params: ModelParams, history: History, horizon: float,
         x = level + k * math.exp(-(seg_end - t))   # arc.end_value
         t = seg_end
 
-    zeros.sort(key=lambda z: z.t)
     return Trajectory(params=params, history=history, arcs=tuple(arcs),
-                      zeros=tuple(zeros), crossings=tuple(sorted(crossings)))
+                      zeros=tuple(zeros), crossings=tuple(crossings))
 
 
 def zeros_of(traj: Trajectory) -> list[Zero]:

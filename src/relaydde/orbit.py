@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arcs import ExpArc, History, _ArcChain, _tie, chain_values, chains_equal
+from .arcs import ExpArc, History, _ArcChain, _tie, chain_values
 from .engine import Trajectory, Zero
 from .exceptions import HorizonExhausted, RegimeError, ValidationError
 from .params import ModelParams, Regime, regime
@@ -127,20 +127,6 @@ def periodic_solution(params: ModelParams) -> PeriodicOrbit:
                          x_min=x_min, x_max=x_max, arcs=arcs)
 
 
-def _expected_arcs(orbit: PeriodicOrbit, z: float, phase: MergePhase) -> tuple[ExpArc, ExpArc]:
-    """The two orbit arcs following a merge zero at z, translated to z."""
-    p = orbit.params
-    tau = p.tau
-    if phase is MergePhase.MIN:
-        first = ExpArc(z, z + tau, -p.beta_u, p.beta_u)
-        second = ExpArc(z + tau, z + tau + orbit.z1 + tau, p.beta_l, orbit.x_min - p.beta_l)
-    else:
-        first = ExpArc(z, z + tau, p.beta_l, -p.beta_l)
-        second = ExpArc(z + tau, z + orbit.z2 - orbit.z1 + tau, -p.beta_u,
-                        orbit.x_max + p.beta_u)
-    return first, second
-
-
 def merge_window(orbit: PeriodicOrbit) -> float:
     """Length of the window within which any Z0 start is guaranteed merged.
 
@@ -158,102 +144,49 @@ def _zero_before(history: History) -> float:
 
 
 class _MergeScan:
-    """Merge search over a chain's zeros, each zero once, in time order.
+    """Merge search over a run's zeros, each zero once, in time order.
 
     The solution after a zero z depends only on the sign of x over
-    [z - tau, z). So a zero z >= t_free whose previous zero lies at least
-    tau earlier (within two ties) has the state of the orbit's zero of its
-    direction: it is the merge as soon as it is booked. A zero with a
-    shorter gap is a merge when the chain on its check window
-    [z, min(second.t_end, z + 2*tau)] equals the two orbit arcs following z
-    (translated to z) within 1e-10 in (c, k) data. ``prev`` is the zero
-    before the chain's first one; ``chain`` holds the history arcs and then
-    the solution arcs. A caller may keep appending arcs: a short-gap zero is
-    checked as soon as the chain covers its window.
+    [z - tau, z). The first zero z >= t_free whose previous zero (``prev``
+    before the run's first) lies at least tau earlier, within two ties, has
+    the state of the orbit's zero of its direction: it is the merge. A zero
+    with a shorter gap never is, since x changes sign on [z - tau, z).
     """
 
-    def __init__(self, orbit: PeriodicOrbit, chain: list[ExpArc], t_free: float,
-                 prev: float):
-        self.orbit, self.chain, self.t_free, self.prev = orbit, chain, t_free, prev
+    def __init__(self, tau: float, t_free: float, prev: float):
+        self.tau, self.prev = tau, prev
         self._free_from = t_free - _tie(t_free)
         self.found: Optional[MergeInfo] = None
-        self.done = 0      # zeros decided, or skipped as earlier than t_free
-        self.first = 0     # chain arcs before this one end before the next zero
-        # the short-gap zero being checked: time, phase, expected arcs, window
-        # end, its tie, and the bounds z + tie(z) and end - tie(end) of the
-        # arcs it keeps
-        self._next: Optional[tuple] = None
+        self.done = 0      # zeros decided
 
-    def advance(self, zeros: Sequence[Zero], covered: float,
-                final: bool = False) -> Optional[MergeInfo]:
-        """Decide the zeros that the chain, which ends at ``covered``, now
-        decides; the merge once found.
-
-        Until ``final`` (no arc will follow) a short-gap zero's window also
-        waits for the chain to pass the point where a later arc could still
-        reach into it.
-        """
-        tau = self.orbit.params.tau
+    def advance(self, zeros: Sequence[Zero]) -> Optional[MergeInfo]:
+        """Decide the zeros booked since the last call; the merge once found."""
         while self.found is None and self.done < len(zeros):
-            if self._next is None:
-                zero = zeros[self.done]
-                z = zero.t
-                if z < self._free_from:
-                    self.prev = z
-                    self.done += 1
-                    continue
-                phase = MergePhase.MAX if zero.up else MergePhase.MIN
-                if z - self.prev >= tau - 2 * _tie(z):
-                    self.found = MergeInfo(zero=z, phase=phase)
-                    self.done += 1
-                    break
-                first, second = _expected_arcs(self.orbit, z, phase)
-                end = min(second.t_end, z + 2 * tau)
-                tie_end = _tie(end)
-                self._next = (z, phase, (first, second), end, tie_end,
-                              z + _tie(z), end - tie_end)
-            z, phase, expected, end, tie_end, z_in, end_in = self._next
-            if end > covered + tie_end or (not final and covered < end_in):
-                return None
-            # the arcs chains_equal keeps on [z, end]: the chain is sorted
-            chain, i = self.chain, self.first
-            while i < len(chain) and chain[i].t_end <= z_in:
-                i += 1
-            self.first = j = i
-            while j < len(chain) and chain[j].t_start < end_in:
-                j += 1
-            if chains_equal(chain[i:j], expected, z, end, tol=1e-10):
-                self.found = MergeInfo(zero=z, phase=phase)
-            self.prev = z
-            self._next = None
+            zero = zeros[self.done]
             self.done += 1
+            z = zero.t
+            if z >= self._free_from and z - self.prev >= self.tau - 2 * _tie(z):
+                self.found = MergeInfo(zero=z, phase=MergePhase.MAX if zero.up else MergePhase.MIN)
+            self.prev = z
         return self.found
-
-    def finish(self, zeros: Sequence[Zero], horizon: float) -> Optional[MergeInfo]:
-        """The merge of a chain that ends at ``horizon``; None when there
-        provably is none, HorizonExhausted when the horizon cannot decide:
-        a short-gap zero's window is not covered, or no merge was found and
-        the horizon ends before t_free + merge_window."""
-        if self.advance(zeros, horizon, final=True) is not None:
-            return self.found
-        if self.done < len(zeros) or horizon < self.t_free + merge_window(self.orbit):
-            raise HorizonExhausted(
-                f"horizon {horizon} too short to decide merge after t = {self.t_free}")
-        return None
 
 
 def merge_time(traj: Trajectory, orbit: PeriodicOrbit,
                t_free: float = 0.0) -> Optional[MergeInfo]:
-    """Earliest zero z >= t_free where the trajectory joins the orbit.
+    """Earliest zero z >= t_free where the trajectory joins the orbit: the
+    first whose previous zero lies at least tau earlier.
 
-    The join is decided from the zeros: a zero whose previous zero lies at
-    least tau earlier is on the orbit. A zero with a shorter gap is a merge
-    when the two arcs following it equal the orbit arcs (translated to z)
-    within 1e-10 in (c, k) data; matching on a full delay interval pins the
-    state onto the orbit. Returns None when the trajectory provably has no
-    merge zero before the horizon; raises HorizonExhausted when the horizon
-    is too short to decide.
+    Returns None when the trajectory has no merge zero before its horizon
+    and the horizon reaches t_free + merge_window; raises HorizonExhausted
+    when it has none and the horizon ends earlier.
     """
-    scan = _MergeScan(orbit, [*traj.history.arcs, *traj.arcs], t_free,
-                      _zero_before(traj.history))
-    return scan.finish(traj.zeros, traj.horizon)
+    if not math.isfinite(t_free):
+        raise ValidationError("merge_t_free", f"t_free = {t_free} must be finite")
+    if orbit.params != traj.params:
+        raise ValidationError("merge_params", f"orbit of {orbit.params} does not "
+                                              f"belong to a run of {traj.params}")
+    found = _MergeScan(orbit.params.tau, t_free, _zero_before(traj.history)).advance(traj.zeros)
+    if found is None and traj.horizon < t_free + merge_window(orbit):
+        raise HorizonExhausted(
+            f"horizon {traj.horizon} too short to decide merge after t = {t_free}")
+    return found

@@ -396,12 +396,13 @@ class PulseContext:
         run; ``case`` is the onset's classification.
 
         The run ends on the first arc past z_def, the zero that ends the
-        perturbed cycle; without a merge it runs to the full horizon.
+        perturbed cycle; without a merge it runs to the full horizon, which
+        reaches past t_free + merge_window, so no merge means T = inf.
         """
         params, orb = self.params, self.orbit
         J = int(_j_delta(orb, delta))
         history, prev = self._start
-        scan = _MergeScan(orb, list(history.arcs), delta + self.sigma, prev)
+        scan = _MergeScan(params.tau, delta + self.sigma, prev)
         z_def = math.inf
 
         def stop(arc, zeros):
@@ -409,19 +410,16 @@ class PulseContext:
             # the zero at z_def and covers the extrema up to it.
             nonlocal z_def
             if scan.found is None:
-                scan.chain.append(arc)
-                if scan.advance(zeros, arc.t_end) is None:
+                if scan.advance(zeros) is None:
                     return False
                 z_def = self._z_def(scan.found, J)
             return arc.t_end > z_def + 1e-12
 
         traj = _pulsed(params, orb, history, self.a, delta, self.sigma, stop=stop)
-        merged = scan.found or scan.finish(traj.zeros, traj.horizon)
-        if merged is None:
+        if scan.found is None:
             zs = tuple(z.t for z in traj.zeros)
             return CycleStats(case, math.inf, math.nan, math.nan, J, zs,
                               diagnostics={"zeros_seen": list(zs), "horizon": traj.horizon})
-        z_def = self._z_def(merged, J)
         lo = (-params.tau, orb.z1, orb.z2)[J]
         x_mn, x_mx = traj.breakpoint_extrema(lo, min(z_def, traj.horizon))
         zs = tuple(z.t for z in traj.zeros if lo < z.t <= z_def + 1e-12)

@@ -88,9 +88,9 @@ def _outcome(crossing):
        level=st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-3.0, 3.0),
        lo_at=st.sampled_from(["default", "start", "cross"]),
        hi_at=st.sampled_from(["default", "end", "cross"]),
-       nudge=st.integers(-4, 4), lo_guard=st.booleans())
+       nudge=st.integers(-4, 4))
 @settings(max_examples=400, deadline=None)
-def test_crossing_time_is_arc_crossing(t0, span, c, k, level, lo_at, hi_at, nudge, lo_guard):
+def test_crossing_time_is_arc_crossing(t0, span, c, k, level, lo_at, hi_at, nudge):
     # bounds sit on the span ends or on the crossing itself, up to +-2 ties
     # off, so snapping to hi and exclusion at lo both get exercised
     arc = ExpArc(t0, t0 + span, c, k)
@@ -107,8 +107,8 @@ def test_crossing_time_is_arc_crossing(t0, span, c, k, level, lo_at, hi_at, nudg
 
     lo, lo_val = bound(lo_at, t0)
     hi, hi_val = bound(hi_at, t0 + span)
-    assert _outcome(lambda: arc.crossing(level, lo, hi, lo_guard)) \
-        == _outcome(lambda: crossing_time(t0, c, k, level, lo_val, hi_val, lo_guard))
+    assert _outcome(lambda: arc.crossing(level, lo, hi)) \
+        == _outcome(lambda: crossing_time(t0, c, k, level, lo_val, hi_val))
 
 
 def test_crossing_time_rules():
@@ -120,13 +120,11 @@ def test_crossing_time_rules():
     for hi in (t + 0.5 * tie, t - 0.5 * tie):
         assert crossing_time(0.0, 1.0, -2.0, 0.0, 0.0, hi) == hi
     assert crossing_time(0.0, 1.0, -2.0, 0.0, 0.0, t - 2 * tie) is None
-    # within a tie above lo: excluded with the guard, kept without it
+    # within a tie above lo: excluded
     lo = t - 0.5 * tie
     assert crossing_time(0.0, 1.0, -2.0, 0.0, lo, 5.0) is None
-    assert crossing_time(0.0, 1.0, -2.0, 0.0, lo, 5.0, lo_guard=False) == t
-    # exactly at lo: excluded either way
+    # exactly at lo: excluded
     assert crossing_time(0.0, 1.0, -2.0, 0.0, t, 5.0) is None
-    assert crossing_time(0.0, 1.0, -2.0, 0.0, t, 5.0, lo_guard=False) is None
     # r <= 0: no crossing, including the constant arc off the level
     assert crossing_time(0.0, 1.0, 2.0, 0.0, 0.0, 5.0) is None
     assert crossing_time(0.0, 0.7, 0.0, 0.0, 0.0, 5.0) is None

@@ -6,8 +6,8 @@ import pytest
 from relaydde import (ExpArc, History, HorizonExhausted, MergePhase, ModelParams, PulseSpec,
                       RegimeError, ValidationError, evolve, merge_time, periodic_solution,
                       pulsed_trajectory)
-from relaydde.arcs import chains_equal
 
+from _chains import chains_equal
 import _expected as exp
 from conftest import random_oscillatory, random_z0_history
 
@@ -140,6 +140,19 @@ def test_merge_horizon_exhausted(p1, orb1):
     assert not traj.zeros
     with pytest.raises(HorizonExhausted):
         merge_time(traj, orb1)
+
+
+def test_merge_rejects_a_non_finite_t_free_and_a_foreign_orbit(p1, p2, orb1, orb2):
+    # t_free = inf or nan once compared every zero against nan and returned
+    # the first zero, 0.81 here
+    traj = evolve(p1, History.constant(1.0, 1.0), 4 * orb1.period)
+    for t_free in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError) as err:
+            merge_time(traj, orb1, t_free=t_free)
+        assert err.value.clause == "merge_t_free", t_free
+    with pytest.raises(ValidationError) as err:
+        merge_time(traj, orb2)
+    assert err.value.clause == "merge_params"
 
 
 def test_merge_random_params():

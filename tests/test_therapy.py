@@ -6,8 +6,8 @@ import pytest
 from relaydde import (DomainError, ExpArc, History, ModelParams, PlanInfeasible,
                       TherapyInput, apply_plan, evolve, periodic_solution, plan,
                       predict_t_d)
-from relaydde.arcs import chains_equal
 
+from _chains import chains_equal
 import _expected as exp
 from conftest import random_oscillatory
 
