@@ -21,7 +21,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -126,7 +126,12 @@ class Trajectory(_ArcChain):
     def breakpoint_extrema(self, lo: float, hi: float) -> tuple[float, float]:
         """(min, max) of the solution over [lo, hi]; arcs are monotone, so the
         extrema sit at arc endpoints clipped to the window."""
-        vals = [self.value(lo), self.value(hi)]
+        mn = mx = self.value(lo)
+        v = self.value(hi)
+        if v < mn:
+            mn = v
+        elif v > mx:
+            mx = v
         hist = self.history.arcs
         # the arcs that can have an endpoint in [lo, hi]: from the first one
         # ending at or after lo to the first one ending after hi
@@ -136,8 +141,14 @@ class Trajectory(_ArcChain):
         for arc in (hist + near if lo <= hist[-1].t_end else near):
             for tt in (arc.t_start, arc.t_end):
                 if lo <= tt <= hi:
-                    vals.append(arc.value(tt))
-        return min(vals), max(vals)
+                    v = arc.value(tt)
+                    # a running min and max: the first of equal values
+                    # stays, as with min() and max()
+                    if v < mn:
+                        mn = v
+                    elif v > mx:
+                        mx = v
+        return mn, mx
 
     def arcs_json(self) -> str:
         """Arc chain as JSON; plain repr floats round-trip exactly."""
@@ -161,7 +172,41 @@ def evolve(params: ModelParams, history: History, horizon: float,
     segment end is only booked once the next arc confirms the threshold is
     actually crossed, so grazing contact schedules no feedback switch.
     """
-    return _evolve(params, history, horizon, pulse, feedback)
+    return _evolve(params, history, horizon, pulse, _run_start(params, history, feedback))
+
+
+class _RunStart(NamedTuple):
+    """What a run from one history under one feedback table starts with; it
+    depends on neither the horizon nor the pulse, so runs may share it."""
+
+    thresholds: tuple[float, ...]
+    levels: tuple[float, ...]
+    branch: int                                 # feedback branch at t = 0
+    markers: tuple[tuple[float, int], ...]      # history.branch_markers(thresholds)
+    switches: tuple[tuple[float, int, int], ...]   # the markers' switch events
+    x: float                                    # x(0)
+    above: tuple[bool, ...]                     # the side of each threshold at t = 0
+    pending: tuple[int, ...]                    # thresholds x(0) sits on
+
+
+def _run_start(params: ModelParams, history: History,
+               feedback: Optional[FeedbackTable]) -> _RunStart:
+    """The start of a run from ``history``; the two-level table by default."""
+    fb = feedback if feedback is not None else FeedbackTable.two_level(params)
+    thresholds = fb.thresholds
+    markers = tuple(history.branch_markers(thresholds))
+    x = history.value(0.0)
+    # the side of each threshold the solution is on; a value on a threshold
+    # takes the side the history's last arc comes from, and its crossing is
+    # pending: the first arc books it at its start if it moves away from that side
+    # (tuples built from lists: every evolve() call builds a start, and
+    # tuple() of a generator is slower)
+    pending = tuple([i for i, th in enumerate(thresholds)
+                     if abs(x - th) <= 1e-12 * max(1.0, abs(x), abs(th))])
+    above = tuple([history.arcs[-1].k >= 0 if i in pending else x > th
+                   for i, th in enumerate(thresholds)])
+    return _RunStart(thresholds, fb.levels, history.initial_branch(thresholds), markers,
+                     tuple([(tm + params.tau, 1, b) for tm, b in markers]), x, above, pending)
 
 
 #: called after each emitted arc with that arc and the zeros booked so far,
@@ -170,10 +215,11 @@ StopHook = Callable[[ExpArc, list[Zero]], bool]
 
 
 def _evolve(params: ModelParams, history: History, horizon: float,
-            pulse: Optional[PulseWindow], feedback: Optional[FeedbackTable],
+            pulse: Optional[PulseWindow], start: _RunStart,
             stop: Optional[StopHook] = None) -> Trajectory:
-    """evolve(), optionally ended early by ``stop``: the arcs emitted up to
-    then are the same floats a run to the full horizon emits."""
+    """evolve() from ``start``, the _run_start of ``history``, optionally
+    ended early by ``stop``: the arcs emitted up to then are the same floats
+    a run to the full horizon emits."""
     if not horizon > 0:
         raise ValidationError("horizon_positive", f"horizon = {horizon} must be > 0")
     if horizon == math.inf:
@@ -181,30 +227,22 @@ def _evolve(params: ModelParams, history: History, horizon: float,
     if abs(history.tau - params.tau) > _tie(params.tau):
         raise ValidationError("history_tau", f"history spans tau = {history.tau}, "
                                              f"params say {params.tau}")
-    fb = feedback if feedback is not None else FeedbackTable.two_level(params)
-    thresholds, levels = fb.thresholds, fb.levels
+    thresholds, levels, branch, _, switches, x, above, pending = start
+    above = list(above)
     tau = params.tau
-    events: list[tuple[float, int, int]] = []   # (time, priority, branch | -1)
+    events: list[tuple[float, int, int]] = list(switches)   # (time, priority, branch | -1)
+    if pulse is None:
+        t_on = t_off = math.inf    # the pulse window test below is never true
+        amp = 0.0
+    else:
+        t_on, t_off, amp = pulse.t_on, pulse.t_off, pulse.a
+        events += ((t_on, 0, -1), (t_off, 0, -1))
+    heapq.heapify(events)
     zeros: list[Zero] = []
     crossings: list[tuple[float, int, bool]] = []
 
-    if pulse is not None:
-        heapq.heappush(events, (pulse.t_on, 0, -1))
-        heapq.heappush(events, (pulse.t_off, 0, -1))
-    branch = history.initial_branch(thresholds)
-    for tm, b in history.branch_markers(thresholds):
-        heapq.heappush(events, (tm + tau, 1, b))
-
-    t, x = 0.0, history.value(0.0)
+    t = 0.0
     arcs: list[ExpArc] = []
-    # the side of each threshold the solution is on; a value on a threshold
-    # takes the side the history's last arc comes from, and its crossing is
-    # pending: the next arc books it at its start if it moves away from that side
-    pending = [i for i, th in enumerate(thresholds)
-               if abs(x - th) <= 1e-12 * max(1.0, abs(x), abs(th))]
-    above = [history.arcs[-1].k >= 0 if i in pending else x > th
-             for i, th in enumerate(thresholds)]
-
     upward = range(len(thresholds))
     downward = upward[::-1]
     t_last = horizon - _tie(horizon)
@@ -215,8 +253,8 @@ def _evolve(params: ModelParams, history: History, horizon: float,
             if b >= 0:
                 branch = b
         level = levels[branch]
-        if pulse is not None and pulse.t_on - tie_t <= t < pulse.t_off - tie_t:
-            level += pulse.a
+        if t_on - tie_t <= t < t_off - tie_t:
+            level += amp
         k = x - level      # the arc from t is level + k*exp(-(s - t))
         seg_end = min(events[0][0], horizon) if events else horizon
 
@@ -236,7 +274,7 @@ def _evolve(params: ModelParams, history: History, horizon: float,
                     if r <= 0.0:
                         continue
                     s = max(t + math.log(r), t)
-                    tie_end = _tie(seg_end)
+                    tie_end = TIE_EPS * max(1.0, abs(seg_end))   # _tie(seg_end), inline
                     if s > seg_end + tie_end:
                         continue
                     if s >= seg_end - tie_end:

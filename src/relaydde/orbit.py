@@ -82,6 +82,8 @@ class PeriodicOrbit(_ArcChain):
 
     def zeros_in(self, lo: float, hi: float) -> list[float]:
         """Orbit zeros (z1 + nT and z2 + nT alike) inside [lo, hi]."""
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValidationError("orbit_bounds_finite", f"bounds [{lo}, {hi}] must be finite")
         out = []
         n = math.floor((lo - self.z2) / self.period)
         while True:
@@ -136,10 +138,10 @@ def merge_window(orbit: PeriodicOrbit) -> float:
     return orbit.period + 2 * orbit.params.tau + orbit.period
 
 
-def _zero_before(history: History) -> float:
-    """The history's last sign change in (-tau, 0), -inf when there is none:
-    the gap of a run's first zero is measured from it."""
-    marks = history.branch_markers((0.0,))
+def _zero_before(marks: Sequence[tuple[float, int]]) -> float:
+    """A history's last sign change in (-tau, 0), from its two-level
+    ``branch_markers``; -inf when there is none: the gap of a run's first
+    zero is measured from it."""
     return marks[-1][0] if marks else -math.inf
 
 
@@ -185,7 +187,8 @@ def merge_time(traj: Trajectory, orbit: PeriodicOrbit,
     if orbit.params != traj.params:
         raise ValidationError("merge_params", f"orbit of {orbit.params} does not "
                                               f"belong to a run of {traj.params}")
-    found = _MergeScan(orbit.params.tau, t_free, _zero_before(traj.history)).advance(traj.zeros)
+    prev = _zero_before(traj.history.branch_markers())
+    found = _MergeScan(orbit.params.tau, t_free, prev).advance(traj.zeros)
     if found is None and traj.horizon < t_free + merge_window(orbit):
         raise HorizonExhausted(
             f"horizon {traj.horizon} too short to decide merge after t = {t_free}")

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .arcs import History
-from .engine import PulseWindow, StopHook, Trajectory, _evolve
+from .engine import PulseWindow, StopHook, Trajectory, _evolve, _run_start, _RunStart
 from .exceptions import OutOfDomainError, StandingHypothesisViolated
 from .orbit import (MergeInfo, MergePhase, PeriodicOrbit, _MergeScan, _zero_before,
                     merge_window, periodic_solution)
@@ -221,11 +221,13 @@ class PulseContext:
         return tuple(intervals)
 
     @cached_property
-    def _start(self) -> tuple[History, float]:
+    def _start(self) -> tuple[History, _RunStart, float]:
         """The orbit's min-phase segment, where every simulated run starts,
-        and its last sign change before t = 0 (none: -inf)."""
+        the engine start those runs share, and the segment's last sign
+        change before t = 0 (none: -inf)."""
         history = self.orbit.history_min_phase()
-        return history, _zero_before(history)
+        start = _run_start(self.params, history, None)
+        return history, start, _zero_before(start.markers)
 
     def _onsets(self, deltas) -> np.ndarray:
         """The onsets as a float array; OutOfDomainError unless all are in [0, T)."""
@@ -401,7 +403,7 @@ class PulseContext:
         """
         params, orb = self.params, self.orbit
         J = int(_j_delta(orb, delta))
-        history, prev = self._start
+        history, start, prev = self._start
         scan = _MergeScan(params.tau, delta + self.sigma, prev)
         z_def = math.inf
 
@@ -410,12 +412,12 @@ class PulseContext:
             # the zero at z_def and covers the extrema up to it.
             nonlocal z_def
             if scan.found is None:
-                if scan.advance(zeros) is None:
+                if len(zeros) == scan.done or scan.advance(zeros) is None:
                     return False
                 z_def = self._z_def(scan.found, J)
             return arc.t_end > z_def + 1e-12
 
-        traj = _pulsed(params, orb, history, self.a, delta, self.sigma, stop=stop)
+        traj = _pulsed(params, orb, history, start, self.a, delta, self.sigma, stop=stop)
         if scan.found is None:
             zs = tuple(z.t for z in traj.zeros)
             return CycleStats(case, math.inf, math.nan, math.nan, J, zs,
@@ -469,16 +471,17 @@ def response_closed_form(params: ModelParams, pulse: PulseSpec) -> CycleStats:
     return PulseContext(params, pulse.a, pulse.sigma).stats(pulse.delta)
 
 
-def _pulsed(params: ModelParams, orb: PeriodicOrbit, history: History, a: float,
-            delta: float, sigma: float, horizon: Optional[float] = None,
+def _pulsed(params: ModelParams, orb: PeriodicOrbit, history: History, start: _RunStart,
+            a: float, delta: float, sigma: float, horizon: Optional[float] = None,
             stop: Optional[StopHook] = None) -> Trajectory:
-    """The run from the orbit's min-phase ``history`` with the pulse on."""
+    """The run from the orbit's min-phase ``history``, whose _run_start is
+    ``start``, with the pulse on."""
     if not 0 <= delta < orb.period:
         raise OutOfDomainError(f"delta = {delta} outside [0, T = {orb.period})")
     if horizon is None:
         horizon = delta + sigma + merge_window(orb) + orb.period
     window = PulseWindow(a, delta, delta + sigma)
-    return _evolve(params, history, horizon, window, None, stop)
+    return _evolve(params, history, horizon, window, start, stop)
 
 
 def pulsed_trajectory(params: ModelParams, pulse: PulseSpec,
@@ -486,8 +489,9 @@ def pulsed_trajectory(params: ModelParams, pulse: PulseSpec,
     """The pulsed solution x^(Delta): orbit history, pulse on [Delta, Delta+sigma]."""
     check_pulse(params, pulse)
     orb = periodic_solution(params)
-    return _pulsed(params, orb, orb.history_min_phase(), pulse.a, pulse.delta, pulse.sigma,
-                   horizon), orb
+    history = orb.history_min_phase()
+    return _pulsed(params, orb, history, _run_start(params, history, None),
+                   pulse.a, pulse.delta, pulse.sigma, horizon), orb
 
 
 _PHASE_OF_ZERO = {0: MergePhase.MIN, 1: MergePhase.MAX, 2: MergePhase.MIN}

@@ -201,6 +201,34 @@ def test_one_arc_built_per_emitted_arc(p1, orb1, monkeypatch):
         assert built["orbit"] == 0
 
 
+def test_a_prebuilt_run_start_gives_the_same_run():
+    # evolve builds its start from the history; a start built beforehand and
+    # shared by several runs gives each of them the same floats
+    from relaydde import ThreeLevelParams, periodic_solution
+    from relaydde.engine import PulseWindow, _evolve, _run_start
+    from conftest import random_oscillatory, random_z0_history
+
+    def floats(traj):
+        return repr((traj.arcs, traj.zeros, traj.crossings))
+
+    rng = np.random.default_rng(24)
+    for i in range(30):
+        params = random_oscillatory(rng)
+        hist = random_z0_history(rng, params.tau)
+        fb = None
+        if i % 3 == 2:
+            fb = ThreeLevelParams(params, float(rng.uniform(1.1, 4.0)) * params.beta_u).feedback()
+        start = _run_start(params, hist, fb)
+        t_on = float(rng.uniform(0.0, 3 * params.tau))
+        pulse = PulseWindow(float(rng.uniform(0.05, 1.5)) * params.beta_u, t_on,
+                            t_on + float(rng.uniform(0.05, 1.0)) * params.tau)
+        horizon = 3 * periodic_solution(params).period
+        for window in (pulse, None, pulse):
+            want = floats(evolve(params, hist, horizon, window, fb))
+            assert floats(_evolve(params, hist, horizon, window, start)) == want, (params, i)
+        assert start == _run_start(params, hist, fb)
+
+
 def test_horizon_validation(p1):
     with pytest.raises(ValidationError):
         evolve(p1, History.constant(1.0, 1.0), 0.0)

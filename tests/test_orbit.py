@@ -195,6 +195,15 @@ def test_value_at_extreme_times_and_a_non_finite_time(orb1, orb2):
             assert err.value.clause == "orbit_time_finite", t
 
 
+def test_zeros_in_rejects_a_non_finite_bound(orb1):
+    for lo, hi in ((-math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf), (0.0, math.nan),
+                   (-math.inf, math.inf)):
+        with pytest.raises(ValidationError) as err:
+            orb1.zeros_in(lo, hi)
+        assert err.value.clause == "orbit_bounds_finite", (lo, hi)
+    assert orb1.zeros_in(0.0, orb1.period) == [orb1.z1, orb1.z2]
+
+
 def _chain_merge(traj, orb, t_free):
     """The merge by the chain check alone: the first zero z >= t_free after
     which the run equals the orbit's arcs, translated to z, on [z, z + 2 tau]

@@ -562,6 +562,28 @@ def test_merged_runs_end_before_the_full_horizon(monkeypatch, p1, p2):
     assert [T == math.inf for T in ends] == [False] * 6 + [True]
 
 
+def test_a_shared_run_start_does_not_leak_between_runs(p1, p2):
+    # a context's simulated runs share one engine start: whatever the order
+    # of the onsets, each gets what a fresh context gives it
+    from relaydde.engine import _run_start
+    rng = np.random.default_rng(24)
+    lo, hi = np.log([1e-3, 1e-4, 1e-4]), np.log([50.0, 100.0, 100.0])
+    setups = [(p1, A, SIGMA), (p2, A, SIGMA)]
+    for _ in range(2):
+        params = ModelParams(*np.exp(rng.uniform(lo, hi)).tolist())
+        setups.append((params, 0.5 * params.beta_u, 0.5 * params.tau))
+    for params, a, sigma in setups:
+        ctx = PulseContext(params, a, sigma)
+        deltas = np.sort(rng.uniform(0.0, ctx.orbit.period, 64)).tolist()
+        forward = [_outcome(lambda: ctx.stats(d, simulated=True)) for d in deltas]
+        backward = [_outcome(lambda: ctx.stats(d, simulated=True)) for d in deltas[::-1]]
+        fresh = [_outcome(lambda: response_simulated(params, PulseSpec(a, d, sigma)))
+                 for d in deltas]
+        assert forward == backward[::-1] == fresh, params
+        history, start, _ = ctx._start
+        assert start == _run_start(params, history, None)
+
+
 def test_maps_merge_on_the_zero_gap_alone(p1, p2):
     for params in (p1, p2):
         table = cycle_length_map(params, A, SIGMA, 512, simulated=True)
