@@ -4,8 +4,8 @@ response (case classification, cycle length, extrema), therapy planning, and
 the three-level deep-suppression extension, all cross-checked against a
 brute-force dense integrator."""
 
-from .arcs import ExpArc, History, arc_zero
-from .engine import FeedbackTable, PulseWindow, Trajectory, Zero, evolve, zeros_of
+from .arcs import ExpArc, History
+from .engine import FeedbackTable, PulseWindow, Trajectory, Zero, evolve
 from .exceptions import (DomainError, HorizonExhausted, IdenticallyZeroHistory,
                          MismatchedExperiment, NoUndershoot, NonTransversalArc,
                          OutOfDomainError, PlanInfeasible, RegimeError,

@@ -56,43 +56,22 @@ class ExpArc:
     def rising(self) -> bool:
         return self.k < 0
 
-    def crossing(self, level: float = 0.0, lo: Optional[float] = None,
-                 hi: Optional[float] = None) -> Optional[float]:
-        """Time in (lo, hi] where the arc crosses ``level``, else None; bounds
-        default to the arc span (see crossing_time)."""
-        return crossing_time(self.t_start, self.c, self.k, level,
-                             self.t_start if lo is None else lo,
-                             self.t_end if hi is None else hi)
-
-
-def crossing_time(t0: float, c: float, k: float, level: float, lo: float,
-                  hi: float) -> Optional[float]:
-    """Time in (lo, hi] where c + k*exp(-(t - t0)) crosses ``level``, else None.
-
-    Crossings within the tie tolerance of ``hi`` snap to ``hi``; crossings
-    within tolerance of ``lo`` are excluded as belonging to the preceding
-    piece. Raises NonTransversalArc for the identically-zero arc when asked
-    for level 0.
-    """
-    ceff = c - level
-    if ceff == 0.0:
-        if k == 0.0 and level == 0.0:
-            raise NonTransversalArc("arc is identically zero")
-        return None  # approaches the level asymptotically, or sits on it
-    r = -k / ceff
-    if r <= 0.0:
+    def crossing(self, level: float = 0.0) -> Optional[float]:
+        """Time where the arc crosses ``level`` more than a tie inside its span,
+        else None: a crossing within a tie of an end belongs to the junction
+        there. Raises NonTransversalArc for the identically-zero arc at level 0."""
+        ceff = self.c - level
+        if ceff == 0.0:
+            if self.k == 0.0 and level == 0.0:
+                raise NonTransversalArc("arc is identically zero")
+            return None  # approaches the level asymptotically, or sits on it
+        r = -self.k / ceff
+        if r <= 0.0:
+            return None
+        t = self.t_start + math.log(r)
+        if self.t_start + _tie(self.t_start) < t < self.t_end - _tie(self.t_end):
+            return t
         return None
-    t = t0 + math.log(r)
-    if abs(t - hi) <= TIE_EPS * max(1.0, abs(hi)):   # _tie(hi), inline on the hot path
-        t = hi
-    if t > hi or t <= lo + _tie(lo):
-        return None
-    return t
-
-
-def arc_zero(arc: ExpArc) -> Optional[float]:
-    """First zero of the arc strictly inside (t_start, t_end], else None."""
-    return arc.crossing(0.0)
 
 
 def chain_arrays(arcs: Iterable[ExpArc]) -> np.ndarray:
@@ -226,8 +205,7 @@ class History(_ArcChain):
         b = self.initial_branch(thresholds)
         for j, arc in enumerate(self.arcs):
             cuts = sorted((t, i) for i, th in enumerate(thresholds)
-                          if (t := arc.crossing(th)) is not None
-                          and t < arc.t_end - _tie(arc.t_end))
+                          if (t := arc.crossing(th)) is not None)
             for t, i in cuts:
                 # a monotone arc crosses upward iff it is rising
                 b = i + 1 if arc.rising else i
@@ -245,7 +223,7 @@ class History(_ArcChain):
         zs: list[float] = []
         for arc in self.arcs:
             t = arc.crossing(0.0)
-            if t is not None and t < arc.t_end - _tie(arc.t_end):
+            if t is not None:
                 zs.append(t)
             if abs(arc.end_value) <= _tie(1.0):
                 zs.append(arc.t_end)

@@ -292,6 +292,9 @@ def _cmd_threelevel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValidationError("verify_tolerance",
+                              f"tolerance = {args.tolerance} must be finite and >= 0")
     runs = []
     if args.preset or args.tau is not None or args.gamma is not None:
         runs.append(("given", _params_from(args)))

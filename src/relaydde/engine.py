@@ -300,7 +300,3 @@ def _evolve(params: ModelParams, history: History, horizon: float,
     return Trajectory(params=params, history=history, arcs=tuple(arcs),
                       zeros=tuple(zeros), crossings=tuple(crossings))
 
-
-def zeros_of(traj: Trajectory) -> list[Zero]:
-    """Recorded transversal zeros, strictly increasing."""
-    return list(traj.zeros)

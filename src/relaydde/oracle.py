@@ -130,6 +130,10 @@ def integrate_dense(params: ModelParams, history,
     if not (pulse is None or isinstance(pulse, OraclePulse)):
         raise ValidationError("oracle_pulse", f"pulse must be an OraclePulse or None, "
                                               f"got {pulse!r}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValidationError("oracle_step", f"h = {h} must be finite and > 0")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValidationError("oracle_horizon", f"horizon = {horizon} must be finite and > 0")
     tau, bl, bu = params.tau, params.beta_l, params.beta_u
     if h > tau / 100:
         raise StepTooLarge(f"h = {h} must be <= tau/100 = {tau / 100}")

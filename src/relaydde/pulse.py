@@ -172,15 +172,25 @@ class PulseContext:
         bl, bu, tau = params.beta_l, params.beta_u, params.tau
         gain = a * -math.expm1(-sigma)            # a(1 - e^-sigma)
         d1 = orb.z1 - sigma - math.log((bl + gain) / bl)
-        d1_hat = orb.z1 - sigma + math.log(bl / gain)
+        # a(1 - e^-sigma) underflows to 0 only for a*sigma below the double range
+        d1_hat = orb.z1 - sigma + math.log(bl / gain) if gain else math.inf
         if gain < bu:
             d2 = orb.z2 - sigma + math.log(bu / (bu - gain))
             if a < bu and not d2 < orb.z2:         # delta2 < z2 exactly when a < beta_U
                 d2 = math.nextafter(orb.z2, -math.inf)
         else:
             d2 = math.inf                          # offset value never negative
-        d_bar = orb.period - math.log(
-            0.5 + math.sqrt(0.25 + a * math.expm1(sigma) * math.exp(tau) / bu))
+        try:
+            u = a * math.expm1(sigma) * math.exp(tau) / bu
+        except OverflowError:
+            u = math.inf
+        if u < math.inf:
+            d_bar = orb.period - math.log(0.5 + math.sqrt(0.25 + u))
+        else:   # log(0.5 + sqrt(0.25 + e^L)) for u = e^L, scaled by e^-h to stay finite
+            L = math.log(a) - math.log(bu) + tau + sigma + math.log(-math.expm1(-sigma))
+            h = max(L, 0.0) / 2
+            d_bar = orb.period - h - math.log(
+                0.5 * math.exp(-h) + math.sqrt(0.25 * math.exp(-2 * h) + math.exp(L - 2 * h)))
         self.thresholds = Thresholds(delta1=d1, delta1_hat=d1_hat, delta2=d2,
                                      delta_bar=d_bar, delta2_relaxed=not a < bu)
         # each case's upper end, by the rule of ``classify``
@@ -403,8 +413,7 @@ class PulseContext:
         """
         params, orb = self.params, self.orbit
         J = int(_j_delta(orb, delta))
-        history, start, prev = self._start
-        scan = _MergeScan(params.tau, delta + self.sigma, prev)
+        scan = _MergeScan(params.tau, delta + self.sigma, self._start[2])
         z_def = math.inf
 
         def stop(arc, zeros):
@@ -417,7 +426,7 @@ class PulseContext:
                 z_def = self._z_def(scan.found, J)
             return arc.t_end > z_def + 1e-12
 
-        traj = _pulsed(params, orb, history, start, self.a, delta, self.sigma, stop=stop)
+        traj = self._run(delta, stop=stop)
         if scan.found is None:
             zs = tuple(z.t for z in traj.zeros)
             return CycleStats(case, math.inf, math.nan, math.nan, J, zs,
@@ -426,6 +435,19 @@ class PulseContext:
         x_mn, x_mx = traj.breakpoint_extrema(lo, min(z_def, traj.horizon))
         zs = tuple(z.t for z in traj.zeros if lo < z.t <= z_def + 1e-12)
         return CycleStats(case, z_def - lo, x_mn, x_mx, J, zs)
+
+    def _run(self, delta: float, horizon: Optional[float] = None,
+             stop: Optional[StopHook] = None) -> Trajectory:
+        """The run from the orbit's min-phase segment with the pulse on at
+        ``delta``; by default to delta + sigma + merge_window + T."""
+        orb = self.orbit
+        if not 0 <= delta < orb.period:
+            raise OutOfDomainError(f"delta = {delta} outside [0, T = {orb.period})")
+        if horizon is None:
+            horizon = delta + self.sigma + merge_window(orb) + orb.period
+        history, start, _ = self._start
+        window = PulseWindow(self.a, delta, delta + self.sigma)
+        return _evolve(self.params, history, horizon, window, start, stop)
 
     def _z_def(self, merged: MergeInfo, J: int) -> float:
         """The zero that ends the perturbed cycle: the first zero from the
@@ -471,27 +493,12 @@ def response_closed_form(params: ModelParams, pulse: PulseSpec) -> CycleStats:
     return PulseContext(params, pulse.a, pulse.sigma).stats(pulse.delta)
 
 
-def _pulsed(params: ModelParams, orb: PeriodicOrbit, history: History, start: _RunStart,
-            a: float, delta: float, sigma: float, horizon: Optional[float] = None,
-            stop: Optional[StopHook] = None) -> Trajectory:
-    """The run from the orbit's min-phase ``history``, whose _run_start is
-    ``start``, with the pulse on."""
-    if not 0 <= delta < orb.period:
-        raise OutOfDomainError(f"delta = {delta} outside [0, T = {orb.period})")
-    if horizon is None:
-        horizon = delta + sigma + merge_window(orb) + orb.period
-    window = PulseWindow(a, delta, delta + sigma)
-    return _evolve(params, history, horizon, window, start, stop)
-
-
 def pulsed_trajectory(params: ModelParams, pulse: PulseSpec,
                       horizon: Optional[float] = None) -> tuple[Trajectory, PeriodicOrbit]:
     """The pulsed solution x^(Delta): orbit history, pulse on [Delta, Delta+sigma]."""
     check_pulse(params, pulse)
-    orb = periodic_solution(params)
-    history = orb.history_min_phase()
-    return _pulsed(params, orb, history, _run_start(params, history, None),
-                   pulse.a, pulse.delta, pulse.sigma, horizon), orb
+    ctx = PulseContext(params, pulse.a, pulse.sigma)
+    return ctx._run(pulse.delta, horizon), ctx.orbit
 
 
 _PHASE_OF_ZERO = {0: MergePhase.MIN, 1: MergePhase.MAX, 2: MergePhase.MIN}

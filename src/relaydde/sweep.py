@@ -124,8 +124,8 @@ def cycle_length_map(params: ModelParams, a: float, sigma: float, n_grid: int,
     standing hypothesis a < beta_U (ValidationError ``amp_standing``
     otherwise); single relaxed pulses go through response_simulated.
     """
-    if n_grid < 16:
-        raise ValidationError("grid_size", f"n_grid = {n_grid} must be >= 16")
+    if not (isinstance(n_grid, (int, np.integer)) and n_grid >= 16):
+        raise ValidationError("grid_size", f"n_grid = {n_grid} must be an integer >= 16")
     check_pulse(params, PulseSpec(a, 0.0, sigma))   # a < beta_U: no relaxed sweeps
     ctx = PulseContext(params, a, sigma)
     orb, th = ctx.orbit, ctx.thresholds

@@ -151,6 +151,8 @@ def apply_plan(inp: TherapyInput, therapy: TherapyPlan,
         if not therapy.feasible:
             raise PlanInfeasible(f"plan checks failed: {therapy.to_dict()['checks']}")
         amplitude = therapy.a_d
+    elif not (math.isfinite(amplitude) and amplitude >= 0):
+        raise DomainError(f"amplitude = {amplitude} must be finite and >= 0")
     p = inp.params
     horizon = therapy.predicted_period + p.tau + 1.0
     pulse = PulseWindow(amplitude, therapy.t_d - inp.sigma, therapy.t_d) \

@@ -5,32 +5,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaydde import (ExpArc, History, IdenticallyZeroHistory, NonTransversalArc,
-                      ValidationError, arc_zero)
-from relaydde.arcs import TIE_EPS, crossing_time
+                      ValidationError)
+from relaydde.arcs import TIE_EPS
 
 
 def test_arc_zero_example():
-    z = arc_zero(ExpArc(0.0, 2.0, -0.8, 1.8))
+    z = ExpArc(0.0, 2.0, -0.8, 1.8).crossing(0.0)
     assert z is not None
     assert math.isclose(z, math.log(2.25), rel_tol=0, abs_tol=1e-15)
 
 
 def test_arc_zero_none_when_signs_agree():
-    assert arc_zero(ExpArc(0.0, 5.0, 0.4, 0.6)) is None
+    assert ExpArc(0.0, 5.0, 0.4, 0.6).crossing(0.0) is None
 
 
 def test_arc_zero_excludes_start_boundary():
     # zero sits exactly at t_start = 1, outside the open lower bound
-    assert arc_zero(ExpArc(1.0, 1.1, 0.5, -0.5)) is None
+    assert ExpArc(1.0, 1.1, 0.5, -0.5).crossing(0.0) is None
 
 
 def test_arc_zero_identically_zero_raises():
     with pytest.raises(NonTransversalArc):
-        arc_zero(ExpArc(0.0, 1.0, 0.0, 0.0))
+        ExpArc(0.0, 1.0, 0.0, 0.0).crossing(0.0)
 
 
 def test_arc_zero_constant_nonzero():
-    assert arc_zero(ExpArc(0.0, 1.0, 0.7, 0.0)) is None
+    assert ExpArc(0.0, 1.0, 0.7, 0.0).crossing(0.0) is None
 
 
 def _bisect(f, lo, hi):
@@ -51,7 +51,7 @@ def _bisect(f, lo, hi):
 def test_arc_zero_matches_bisection(c, k, sign, span):
     # opposite signs of c and k admit a crossing iff it lands inside the span
     arc = ExpArc(0.0, span, c if sign else -c, -k if sign else k)
-    z = arc_zero(arc)
+    z = arc.crossing(0.0)
     t_root = math.log(-arc.k / arc.c) if -arc.k / arc.c > 0 else None
     if z is None:
         assert t_root is None or not 1e-12 < t_root <= span - 1e-12
@@ -74,65 +74,29 @@ def test_level_crossing():
     assert arc.crossing(1.5) is None    # above the asymptote
 
 
-def _outcome(crossing):
-    try:
-        t = crossing()
-    except NonTransversalArc:
-        return "raises"
-    return None if t is None else t.hex()
-
-
-@given(t0=st.floats(-50.0, 50.0), span=st.floats(1e-3, 20.0),
-       c=st.sampled_from([0.0, 0.7, -0.4]) | st.floats(-3.0, 3.0),
-       k=st.sampled_from([0.0, 1.0, -2.0]) | st.floats(-3.0, 3.0),
-       level=st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-3.0, 3.0),
-       lo_at=st.sampled_from(["default", "start", "cross"]),
-       hi_at=st.sampled_from(["default", "end", "cross"]),
-       nudge=st.integers(-4, 4))
-@settings(max_examples=400, deadline=None)
-def test_crossing_time_is_arc_crossing(t0, span, c, k, level, lo_at, hi_at, nudge):
-    # bounds sit on the span ends or on the crossing itself, up to +-2 ties
-    # off, so snapping to hi and exclusion at lo both get exercised
-    arc = ExpArc(t0, t0 + span, c, k)
-    r = -k / (c - level) if c != level else 0.0
-    cross = t0 + math.log(r) if r > 0 else t0 + span / 2
-    place = {"start": t0, "end": t0 + span, "cross": cross}
-
-    def bound(at, default):
-        if at == "default":
-            return None, default
-        x = place[at]
-        x += nudge * 0.5 * TIE_EPS * max(1.0, abs(x))
-        return x, x
-
-    lo, lo_val = bound(lo_at, t0)
-    hi, hi_val = bound(hi_at, t0 + span)
-    assert _outcome(lambda: arc.crossing(level, lo, hi)) \
-        == _outcome(lambda: crossing_time(t0, c, k, level, lo_val, hi_val))
-
-
-def test_crossing_time_rules():
+def test_crossing_rules():
     # x = 1 - 2 e^{-t} crosses 0 at ln 2
     t = math.log(2.0)
     tie = TIE_EPS * max(1.0, t)
-    assert crossing_time(0.0, 1.0, -2.0, 0.0, 0.0, 5.0) == t
-    # within a tie below or above hi: snapped to hi
-    for hi in (t + 0.5 * tie, t - 0.5 * tie):
-        assert crossing_time(0.0, 1.0, -2.0, 0.0, 0.0, hi) == hi
-    assert crossing_time(0.0, 1.0, -2.0, 0.0, 0.0, t - 2 * tie) is None
-    # within a tie above lo: excluded
-    lo = t - 0.5 * tie
-    assert crossing_time(0.0, 1.0, -2.0, 0.0, lo, 5.0) is None
-    # exactly at lo: excluded
-    assert crossing_time(0.0, 1.0, -2.0, 0.0, t, 5.0) is None
+    assert ExpArc(0.0, 5.0, 1.0, -2.0).crossing() == t
+    # within a tie of t_end, on either side: the junction's, not the arc's
+    for end in (t + 0.5 * tie, t - 0.5 * tie):
+        assert ExpArc(0.0, end, 1.0, -2.0).crossing() is None
+    assert ExpArc(0.0, t - 2 * tie, 1.0, -2.0).crossing() is None
+    assert ExpArc(0.0, t + 2 * tie, 1.0, -2.0).crossing() == t
+    # x = 1 - (1 + d) e^{-(t - 3)} crosses 0 at 3 + log(1 + d); tie(3) = 3e-13
+    for d in (0.0, 1.5e-13):   # at t_start, or within a tie above it
+        assert ExpArc(3.0, 5.0, 1.0, -(1.0 + d)).crossing() is None
+    arc = ExpArc(3.0, 5.0, 1.0, -(1.0 + 6e-13))   # two ties inside
+    assert arc.crossing() == 3.0 + math.log(1.0 + 6e-13)
     # r <= 0: no crossing, including the constant arc off the level
-    assert crossing_time(0.0, 1.0, 2.0, 0.0, 0.0, 5.0) is None
-    assert crossing_time(0.0, 0.7, 0.0, 0.0, 0.0, 5.0) is None
+    assert ExpArc(0.0, 5.0, 1.0, 2.0).crossing() is None
+    assert ExpArc(0.0, 5.0, 0.7, 0.0).crossing() is None
     # on the level: never attained, unless the arc is identically zero
-    assert crossing_time(0.0, 0.5, 1.0, 0.5, 0.0, 5.0) is None
-    assert crossing_time(0.0, 0.5, 0.0, 0.5, 0.0, 5.0) is None
+    assert ExpArc(0.0, 5.0, 0.5, 1.0).crossing(0.5) is None
+    assert ExpArc(0.0, 5.0, 0.5, 0.0).crossing(0.5) is None
     with pytest.raises(NonTransversalArc):
-        crossing_time(0.0, 0.0, 0.0, 0.0, 0.0, 5.0)
+        ExpArc(0.0, 5.0, 0.0, 0.0).crossing(0.0)
 
 
 def test_history_validation():

@@ -160,6 +160,17 @@ def test_validation_error_exit_code(capsys):
     assert "beta_l" in err
 
 
+def test_verify_rejects_a_bad_step_or_tolerance(capsys):
+    for flag, value, clause in (("--oracle-step", "0", "oracle_step"),
+                                ("--oracle-step", "-0.001", "oracle_step"),
+                                ("--oracle-step", "nan", "oracle_step"),
+                                ("--tolerance", "nan", "verify_tolerance"),
+                                ("--tolerance", "-1", "verify_tolerance")):
+        code, out, err = run_cli(capsys, "verify", "--preset", "p1", flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {clause}:") and err.count("\n") == 1, err
+
+
 def test_missing_params_exit_code(capsys):
     code, _, err = run_cli(capsys, "orbit")
     assert code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relaydde import (ExpArc, History, ModelParams, Trajectory, ValidationError,
-                      equilibrium, evolve, integrate_dense, zeros_of)
+                      equilibrium, evolve, integrate_dense)
 
 from _chains import chains_equal
 from _expected import CONST1_FIRST_ZERO
@@ -16,7 +16,7 @@ def test_constant_history_first_arc(p1):
     assert first.t_start == 0.0
     assert first.c == -0.8 and first.k == 1.8
     assert math.isclose(first.t_end, CONST1_FIRST_ZERO + 1.0, abs_tol=1e-12)
-    zs = zeros_of(traj)
+    zs = list(traj.zeros)
     assert math.isclose(zs[0].t, CONST1_FIRST_ZERO, abs_tol=1e-12)
     assert not zs[0].up
 
@@ -47,14 +47,14 @@ def test_gas_upper_contraction():
         traj = evolve(params, History.constant(x0, 1.0), 12.0)
         # monotone approach, never crossing the equilibrium
         assert abs(traj.value(12.0) - eq) <= math.exp(-12.0) * abs(x0 - eq) + 1e-15
-        assert zeros_of(traj) == []
+        assert list(traj.zeros) == []
 
 
 def test_gas_lower_convergence():
     params = ModelParams(tau=2.0, beta_l=-0.1, beta_u=0.5)
     traj = evolve(params, History.constant(1.0, 2.0), 40.0)
     assert abs(traj.value(40.0) - (-0.1)) < 1e-6
-    assert len(zeros_of(traj)) <= 2   # transient zeros only
+    assert len(list(traj.zeros)) <= 2   # transient zeros only
 
 
 def test_zero_transversality(p1):

@@ -14,6 +14,14 @@ import _expected as exp
 def test_step_validation(p1):
     with pytest.raises(StepTooLarge):
         integrate_dense(p1, lambda t: 1.0, 3.0, h=0.02)
+    for h in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValidationError) as err:
+            integrate_dense(p1, lambda t: 1.0, 3.0, h=h)
+        assert err.value.clause == "oracle_step"
+    for horizon in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValidationError) as err:
+            integrate_dense(p1, lambda t: 1.0, horizon, h=1e-3)
+        assert err.value.clause == "oracle_horizon"
 
 
 def test_step_in_the_pulse_slot_is_a_typed_error(p1):

@@ -72,6 +72,9 @@ def test_thresholds_zero_amplitude_limit(p1, orb1):
     th = thresholds(p1, 1e-12, SIGMA)
     assert math.isclose(th.delta1, orb1.z1 - SIGMA, abs_tol=1e-9)
     assert math.isclose(th.delta2, orb1.z2 - SIGMA, abs_tol=1e-9)
+    # a(1 - e^-sigma) underflows to 0: delta1_hat takes its limit
+    assert thresholds(p1, 1e-200, 1e-200).delta1_hat == math.inf
+    assert classify(p1, _pulse(0.1, a=1e-200, sigma=1e-200)).code is CaseCode.RNRN
 
 
 def test_delta_bar_placement():
@@ -85,6 +88,31 @@ def test_delta_bar_placement():
     orb2 = periodic_solution(two_branch)
     assert orb2.z2 < th2.delta_bar < orb2.period - 0.2
     assert math.isclose(th2.delta_bar, exp.D2B_DBAR, abs_tol=1e-12)
+
+
+def test_delta_bar_past_the_double_range():
+    # e^tau, or a(e^sigma - 1)e^tau/beta_U, overflows a double here
+    for tau, a, sigma in ((800.0, 0.2, 0.4), (400.0, 0.4, 400.0), (400.0, 0.4, 399.0)):
+        params = ModelParams(tau, 0.4, 0.8)
+        ctx = PulseContext(params, a, sigma)
+        d_bar, T = ctx.thresholds.delta_bar, ctx.orbit.period
+        # y = e^(T - delta_bar) solves y(y - 1) = a(e^sigma - 1)e^tau/beta_U
+        y = math.exp(T - d_bar)
+        log_u = math.log(a / 0.8) + tau + sigma + math.log(-math.expm1(-sigma))
+        assert math.isclose(math.log(y) + math.log(y - 1), log_u, rel_tol=1e-12)
+    # at sigma = 399 delta_bar lies inside the FNFN interval
+    assert ctx.orbit.z2 < d_bar < T - sigma
+    # e^tau overflows but u = e^L is far below the double range: delta_bar -> T
+    ctx = PulseContext(ModelParams(710.0, 0.4, 100.0), 5e-324, 1e-300)
+    assert ctx.thresholds.delta_bar == ctx.orbit.period
+    ctx = PulseContext(ModelParams(800.0, 0.4, 0.8), 0.2, 0.4)
+    onsets = ctx.orbit.period * np.arange(16) / 16
+    closed = ctx.response(onsets)
+    for i, d in enumerate(onsets.tolist()):
+        sim = ctx.simulated(d, Case.of(closed.code[i], closed.rnrp2[i]))
+        for got, want in ((sim.T, closed.T[i]), (sim.x_min, closed.x_min[i]),
+                          (sim.x_max, closed.x_max[i])):
+            assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (d, CODES[closed.code[i]])
 
 
 # ------------------------------------------------------------ classification
@@ -217,6 +245,48 @@ def test_boundary_agreement_random():
         d2 = abs(case_cycle_length(params, a, sigma, th.delta2, CaseCode.RPFP)
                  - case_cycle_length(params, a, sigma, th.delta2, CaseCode.RPFN))
         assert d1 <= 1e-12 and d2 <= 1e-12
+
+
+def _seams(ctx):
+    """(T, x_min, x_max) of the two neighbouring cases at each interior end
+    of the partition; an extremum that _extrema leaves unchanged counts as
+    the orbit's."""
+    orb = ctx.orbit
+    parts = ctx.partition
+    for left, right in zip(parts, parts[1:]):
+        d = np.array([left.hi])
+        sides = []
+        for code in (left.code, right.code):
+            T = ctx.cycle_length(d, code)
+            lo, hi, _ = ctx._extrema(code, d, T)
+            sides.append((float(T[0]), orb.x_min if lo is None else float(lo[0]),
+                          orb.x_max if hi is None else float(hi[0])))
+        yield sides
+
+
+def test_case_boundaries_are_seams():
+    """At every interior end of the partition the two neighbouring cases give
+    the same T and extrema: on log-uniform sets at a <= beta_U/2 up to the
+    cancellation in the formulas, on the presets to the last bits."""
+    rng = np.random.default_rng(1)
+    lo, hi = np.log([1e-3, 1e-4, 1e-4]), np.log([50.0, 100.0, 100.0])
+    ends = 0
+    for _ in range(40):
+        params = ModelParams(*np.exp(rng.uniform(lo, hi)).tolist())
+        for fs in (1e-6, 0.5, 1.0):
+            for fa in (1e-6, 0.5):
+                ctx = PulseContext(params, fa * params.beta_u, fs * params.tau)
+                for (Ta, *xa), (Tb, *xb) in _seams(ctx):
+                    assert abs(Ta - Tb) <= 1e-10 * max(1.0, abs(Ta)), (params, fa, fs, Ta)
+                    for u, v in zip(xa, xb):
+                        assert abs(u - v) <= 1e-12 * max(1.0, abs(u)), (params, fa, fs, u)
+                    ends += 1
+    assert ends > 1500, ends
+    for params in (ModelParams(1.0, 0.4, 0.8), ModelParams(1.0, 1.4, 0.8)):
+        for a, sigma in ((0.2, 0.4), (0.2, params.tau), (0.7, 0.4)):
+            for left, right in _seams(PulseContext(params, a, sigma)):
+                assert max(abs(u - v) for u, v in zip(left, right)) <= 1e-15, \
+                    (params, a, sigma, left, right)
 
 
 def test_sign_claims(p1, p2, orb1, orb2):

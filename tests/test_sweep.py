@@ -158,8 +158,10 @@ def test_cycle_length_map_zero_amplitude(p1, orb1):
 
 
 def test_cycle_length_map_grid_validation(p1):
-    with pytest.raises(ValidationError):
-        cycle_length_map(p1, A, SIGMA, 8)
+    for n_grid in (8, math.nan, 16.5, 16.0):
+        with pytest.raises(ValidationError) as err:
+            cycle_length_map(p1, A, SIGMA, n_grid)
+        assert err.value.clause == "grid_size"
 
 
 def test_simulated_map_keeps_the_standing_hypothesis(p1):

@@ -109,6 +109,13 @@ def test_apply_plan_zero_amplitude(inp, orb1):
     assert math.isclose(out.achieved_period, orb1.period, abs_tol=1e-10)
 
 
+def test_apply_plan_rejects_a_negative_or_non_finite_amplitude(inp):
+    tp = plan(inp)
+    for amplitude in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            apply_plan(inp, tp, amplitude=amplitude)
+
+
 def test_amplitude_uniqueness(inp, orb1, p1):
     tp = plan(inp)
     out = apply_plan(inp, tp)
