@@ -155,11 +155,6 @@ class Trajectory(_ArcChain):
         return json.dumps([{"t_start": a.t_start, "t_end": a.t_end, "c": a.c, "k": a.k}
                            for a in self.arcs])
 
-    @staticmethod
-    def arcs_from_json(text: str) -> tuple[ExpArc, ...]:
-        return tuple(ExpArc(d["t_start"], d["t_end"], d["c"], d["k"])
-                     for d in json.loads(text))
-
 
 def evolve(params: ModelParams, history: History, horizon: float,
            pulse: Optional[PulseWindow] = None,
@@ -224,6 +219,9 @@ def _evolve(params: ModelParams, history: History, horizon: float,
         raise ValidationError("horizon_positive", f"horizon = {horizon} must be > 0")
     if horizon == math.inf:
         raise ValidationError("horizon_finite", "horizon = inf must be finite")
+    if not horizon > _tie(horizon):   # the run would emit no arc
+        raise ValidationError("horizon_tie", f"horizon = {horizon} lies within one tie "
+                                             f"({TIE_EPS:g} relative) of t = 0")
     if abs(history.tau - params.tau) > _tie(params.tau):
         raise ValidationError("history_tau", f"history spans tau = {history.tau}, "
                                              f"params say {params.tau}")

@@ -80,20 +80,6 @@ class PeriodicOrbit(_ArcChain):
         s -= tau
         return chain_values(self.chain, s)
 
-    def zeros_in(self, lo: float, hi: float) -> list[float]:
-        """Orbit zeros (z1 + nT and z2 + nT alike) inside [lo, hi]."""
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValidationError("orbit_bounds_finite", f"bounds [{lo}, {hi}] must be finite")
-        out = []
-        n = math.floor((lo - self.z2) / self.period)
-        while True:
-            block = [self.z1 + n * self.period, self.z2 + n * self.period]
-            if all(z > hi for z in block):
-                break
-            out.extend(z for z in block if lo <= z <= hi)
-            n += 1
-        return out
-
     def history_min_phase(self) -> History:
         """The segment x~_0: falling through zero at -tau down to the minimum."""
         tau = self.params.tau

@@ -21,14 +21,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import sub
 from typing import Optional
 
 import numpy as np
 
 from .arcs import History
 from .engine import PulseWindow, StopHook, Trajectory, _evolve, _run_start, _RunStart
-from .exceptions import OutOfDomainError, StandingHypothesisViolated
+from .exceptions import OutOfDomainError, StandingHypothesisViolated, ValidationError
 from .orbit import (MergeInfo, MergePhase, PeriodicOrbit, _MergeScan, _zero_before,
                     merge_window, periodic_solution)
 from .params import ModelParams, PulseSpec, check_pulse
@@ -269,41 +270,45 @@ class PulseContext:
         code, rnrp2 = self.classify(delta)
         return Case.of(code[0], rnrp2[0])
 
+    @cached_property
+    def _rows(self) -> dict:
+        """Each case's T(Delta) = T + log1p(A e^(Delta-s) + B expm1(Delta-r)) as (A, s)
+        or (A, s, B, r), the shifts in s and r subtracted in turn as the formula rounds;
+        a case with no closed form holds the reason. Simulating contexts never build it."""
+        p, orb, a, sigma = self.params, self.orbit, self.a, self.sigma
+        bl, bu, z1, z2, T = p.beta_l, p.beta_u, orb.z1, orb.z2, orb.period
+        try:
+            es = a * math.expm1(sigma)
+        except OverflowError:
+            raise ValidationError("sigma_closed_form", f"sigma = {sigma} > log(DBL_MAX) = 709.78 "
+                                  "overflows the closed forms; use the simulated route") from None
+        rise = a * (bl + bu) * math.exp(p.tau + z1 - z2) / (bu * (bl + a))
+        if a < bu:
+            fall = -(a * (bl + bu) * math.exp(-z1) / (bl * (bu - a)))
+            down = (-es / bl, (z1, T), fall, (z2,))
+        else:
+            down = f"case {{}} formula needs a < beta_U (a = {a}, beta_U = {bu})"
+        up, late = (es / bu, (z2,)), (-es / bl, (z1, T))
+        return {CaseCode.RNRN: (-es / bl, (z1,)), CaseCode.RNRP: (*up, rise, (z1,)),
+                CaseCode.RPRP: up, CaseCode.RPFP: up, CaseCode.FPFP: up,
+                CaseCode.RPFN: down, CaseCode.FPFN: down, CaseCode.FNFN: late, CaseCode.FNRN: late,
+                CaseCode.FNFP: "no closed form for case {}",
+                CaseCode.FNRP: (es / bu, (z2, T), rise, (z1, T))}
+
     def cycle_length(self, deltas, code: CaseCode) -> np.ndarray:
         """T(Delta) by the named case's formula, without classifying.
 
         Adjacent case formulas agree at their shared onset threshold, so any
         onset may be passed, also T itself (the left limit of the map).
         """
+        row = self._rows[code]
+        if isinstance(row, str):
+            raise StandingHypothesisViolated(row.format(code.value))
         d = np.asarray(deltas, dtype=float)
-        p, orb, a, sigma = self.params, self.orbit, self.a, self.sigma
-        bl, bu, tau = p.beta_l, p.beta_u, p.tau
-        z1, z2, T = orb.z1, orb.z2, orb.period
-        es = a * math.expm1(sigma)
-        if code is CaseCode.RNRN:
-            return T + np.log1p(-es / bl * np.exp(d - z1))
-        if code is CaseCode.RNRP:
-            return T + np.log1p(
-                es / bu * np.exp(d - z2)
-                + a * (bl + bu) * math.exp(tau + z1 - z2) / (bu * (bl + a))
-                * np.expm1(d - z1))
-        if code in (CaseCode.RPRP, CaseCode.RPFP, CaseCode.FPFP):
-            return T + np.log1p(es / bu * np.exp(d - z2))
-        if code in (CaseCode.RPFN, CaseCode.FPFN):
-            if not a < bu:
-                raise StandingHypothesisViolated(
-                    f"case {code.value} formula needs a < beta_U (a = {a}, beta_U = {bu})")
-            return T + np.log1p(
-                -es / bl * np.exp(d - z1 - T)
-                - a * (bl + bu) * math.exp(-z1) / (bl * (bu - a)) * np.expm1(d - z2))
-        if code in (CaseCode.FNFN, CaseCode.FNRN):
-            return T + np.log1p(-es / bl * np.exp(d - z1 - T))
-        if code is CaseCode.FNRP:
-            return T + np.log1p(
-                es / bu * np.exp(d - z2 - T)
-                + a * (bl + bu) * math.exp(tau + z1 - z2) / (bu * (bl + a))
-                * np.expm1(d - z1 - T))
-        raise StandingHypothesisViolated(f"no closed form for case {code.value}")
+        u = row[0] * np.exp(reduce(sub, row[1], d))
+        if len(row) == 4:
+            u = u + row[2] * np.expm1(reduce(sub, row[3], d))
+        return self.orbit.period + np.log1p(u)
 
     def _extrema(self, code: CaseCode, d: np.ndarray, T_d: np.ndarray):
         """(x_min, x_max, zeros) of one case's onsets; None marks an extremum
@@ -363,7 +368,8 @@ class PulseContext:
         """Closed-form cycle length, extrema and zeros of every onset.
 
         Raises StandingHypothesisViolated for the whole call when any onset
-        classifies FNFP, which has no closed form.
+        falls in a case without a closed form: FNFP, or RPFN and FPFN when
+        a >= beta_U.
         """
         d = self._onsets(deltas)
         code, rnrp2 = self._classify(d)
@@ -373,10 +379,7 @@ class PulseContext:
         x_max = np.full_like(d, orb.x_max)
         zeros = np.full((3, d.size), np.nan)
         n_zeros = np.empty(d.size, dtype=np.intp)
-        counts = np.bincount(code, minlength=len(CODES))
-        if counts[_IX[CaseCode.FNFP]]:
-            raise StandingHypothesisViolated("no closed form for case FNFP")
-        for i in np.flatnonzero(counts):
+        for i in np.flatnonzero(np.bincount(code, minlength=len(CODES))):
             m = code == i
             dm = d[m]
             T[m] = T_d = self.cycle_length(dm, CODES[i])

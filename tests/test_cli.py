@@ -171,6 +171,25 @@ def test_verify_rejects_a_bad_step_or_tolerance(capsys):
         assert err.startswith(f"error: {clause}:") and err.count("\n") == 1, err
 
 
+def test_typed_errors_at_the_ends_of_the_domain(capsys):
+    model = ("--tau", "800", "--beta-l", "0.4", "--beta-u", "0.8", "--amp", "0.2")
+    tiny = ("--tau", "1e-300", "--beta-l", "1e-3", "--beta-u", "1e-3", "--amp", "1",
+            "--sigma", "1e-300", "--delta", "1e-300", "--relaxed")
+    for argv, clause in ((("classify", *model, "--sigma", "750", "--delta", "1.0"),
+                          "sigma_closed_form"),
+                         (("sweep", *model, "--sigma", "720", "--grid", "16"),
+                          "sigma_closed_form"),
+                         (("simulate", "--preset", "p1", "--horizon", "1e-14"), "horizon_tie"),
+                         (("classify", *tiny), "horizon_tie")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {clause}:") and err.count("\n") == 1, err
+    # the simulated route has no such limit
+    code, out, _ = run_cli(capsys, "classify", *model, "--sigma", "750", "--delta", "1.0",
+                           "--relaxed")
+    assert code == 0 and math.isfinite(json.loads(out)["T"])
+
+
 def test_missing_params_exit_code(capsys):
     code, _, err = run_cli(capsys, "orbit")
     assert code == 2
@@ -182,8 +201,8 @@ def test_simulate_format_json_arcs(capsys):
     assert code == 0
     # stdout carries the arc chain then the zeros payload
     arcs_line, rest = out.split("\n", 1)
-    from relaydde import Trajectory, evolve, History, ModelParams
-    arcs = Trajectory.arcs_from_json(arcs_line)
+    from relaydde import ExpArc, evolve, History, ModelParams
+    arcs = tuple(ExpArc(**d) for d in json.loads(arcs_line))
     traj = evolve(ModelParams(1.0, 0.4, 0.8), History.constant(1.0, 1.0), 3.0)
     assert arcs == traj.arcs            # exact round-trip
 

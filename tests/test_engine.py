@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from relaydde import (ExpArc, History, ModelParams, Trajectory, ValidationError,
+from relaydde import (ExpArc, History, ModelParams, ValidationError,
                       equilibrium, evolve, integrate_dense)
 
 from _chains import chains_equal
@@ -128,7 +129,7 @@ def test_segment_at_roundtrip(p1):
 
 def test_arcs_json_roundtrip(p1):
     traj = evolve(p1, History.constant(1.0, 1.0), 4.0)
-    arcs = Trajectory.arcs_from_json(traj.arcs_json())
+    arcs = tuple(ExpArc(**d) for d in json.loads(traj.arcs_json()))
     assert arcs == traj.arcs
 
 
@@ -235,6 +236,10 @@ def test_horizon_validation(p1):
     with pytest.raises(ValidationError) as err:
         evolve(p1, History.constant(1.0, 1.0), math.inf)
     assert err.value.clause == "horizon_finite"
+    # a horizon within one tie of t = 0 leaves the run no arc
+    with pytest.raises(ValidationError) as err:
+        evolve(p1, History.constant(1.0, 1.0), 1e-14)
+    assert err.value.clause == "horizon_tie"
 
 
 def test_history_tau_mismatch(p1):

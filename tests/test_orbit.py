@@ -86,12 +86,6 @@ def test_symmetric_levels_mirror():
         assert abs(orb.value(orb.t_max + s) + orb.value(s)) <= 1e-12
 
 
-def test_orbit_zeros_in(orb1):
-    zs = orb1.zeros_in(0.0, 2 * orb1.period)
-    expect = [orb1.z1, orb1.z2, orb1.z1 + orb1.period, orb1.z2 + orb1.period]
-    assert np.allclose(zs, expect, atol=1e-12)
-
-
 def test_regime_error():
     with pytest.raises(RegimeError):
         periodic_solution(ModelParams(tau=1.0, beta_l=0.4, beta_u=-0.3))
@@ -193,15 +187,6 @@ def test_value_at_extreme_times_and_a_non_finite_time(orb1, orb2):
             with pytest.raises(ValidationError) as err:
                 orb.value(t)
             assert err.value.clause == "orbit_time_finite", t
-
-
-def test_zeros_in_rejects_a_non_finite_bound(orb1):
-    for lo, hi in ((-math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf), (0.0, math.nan),
-                   (-math.inf, math.inf)):
-        with pytest.raises(ValidationError) as err:
-            orb1.zeros_in(lo, hi)
-        assert err.value.clause == "orbit_bounds_finite", (lo, hi)
-    assert orb1.zeros_in(0.0, orb1.period) == [orb1.z1, orb1.z2]
 
 
 def _chain_merge(traj, orb, t_free):

@@ -115,6 +115,28 @@ def test_delta_bar_past_the_double_range():
             assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (d, CODES[closed.code[i]])
 
 
+def test_closed_forms_end_where_e_sigma_overflows():
+    """Up to sigma = log(DBL_MAX) the closed forms agree with the simulation;
+    past it they fail with a typed error, and the simulated route answers."""
+    params = ModelParams(800.0, 0.4, 0.8)
+    for sigma in (700.0, 709.0, 709.7, 709.78):
+        ctx = PulseContext(params, 0.2, sigma)
+        onsets = ctx.orbit.period * np.arange(64) / 64
+        closed = ctx.response(onsets)
+        for i, d in enumerate(onsets.tolist()):
+            sim = ctx.simulated(d, Case.of(closed.code[i], closed.rnrp2[i]))
+            for got, want in ((sim.T, closed.T[i]), (sim.x_min, closed.x_min[i]),
+                              (sim.x_max, closed.x_max[i])):
+                assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (sigma, d)
+    for sigma in (709.79, 750.0):
+        ctx = PulseContext(params, 0.2, sigma)
+        for call in (lambda: ctx.stats(1.0), lambda: ctx.cycle_length(1.0, CaseCode.RNRP)):
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert err.value.clause == "sigma_closed_form"
+        assert math.isfinite(ctx.stats(1.0, simulated=True).T)
+
+
 # ------------------------------------------------------------ classification
 
 def test_classify_examples(p1, p2):
@@ -792,6 +814,62 @@ def test_simulated_runs_merge_at_the_a_to_beta_u_edge():
     assert d == 9.958686877544608
     assert ctx.stats(d, simulated=True).T == 17.70955049436892
     assert ctx.stats(d).T == 17.709550494368923
+
+
+def _cycle_lengths_50(code, onsets, orb, a, sigma):
+    """The paper's T(Delta) of one case at 50 digits, from the same doubles
+    (onsets, z1, z2, T, a, sigma, betas, tau) the double formulas read."""
+    import mpmath
+    p = orb.params
+    with mpmath.workdps(50):
+        z1, z2, T, a, sigma, bl, bu, tau = map(mpmath.mpf, (
+            orb.z1, orb.z2, orb.period, a, sigma, p.beta_l, p.beta_u, p.tau))
+        es = a * mpmath.expm1(sigma)
+        rise = a * (bl + bu) * mpmath.exp(tau + z1 - z2) / (bu * (bl + a))
+        fall = a * (bl + bu) * mpmath.exp(-z1) / (bl * (bu - a))
+        out = []
+        for d in map(mpmath.mpf, onsets):
+            if code is CaseCode.RNRN:
+                u = -es / bl * mpmath.exp(d - z1)
+            elif code is CaseCode.RNRP:
+                u = es / bu * mpmath.exp(d - z2) + rise * mpmath.expm1(d - z1)
+            elif code in (CaseCode.RPRP, CaseCode.RPFP, CaseCode.FPFP):
+                u = es / bu * mpmath.exp(d - z2)
+            elif code in (CaseCode.RPFN, CaseCode.FPFN):
+                u = -es / bl * mpmath.exp(d - z1 - T) - fall * mpmath.expm1(d - z2)
+            elif code in (CaseCode.FNFN, CaseCode.FNRN):
+                u = -es / bl * mpmath.exp(d - z1 - T)
+            else:
+                assert code is CaseCode.FNRP
+                u = es / bu * mpmath.exp(d - z2 - T) + rise * mpmath.expm1(d - z1 - T)
+            out.append(T + mpmath.log1p(u))
+        return out
+
+
+def test_every_case_formula_agrees_with_its_50_digit_value():
+    """Each case's T in doubles against the same formula at 50 digits, at 4
+    interior onsets of every nonempty case interval on log-uniform sets. RNRP
+    and FNRP cancel between their two terms and lose up to 2e-12 there
+    (ROADMAP item 6); the other eight cases hold to a few ulps."""
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1)
+    lo, hi = np.log([1e-3, 1e-4, 1e-4]), np.log([50.0, 100.0, 100.0])
+    seen = set()
+    for _ in range(20):
+        params = ModelParams(*np.exp(rng.uniform(lo, hi)).tolist())
+        for fs in (1e-6, 0.5, 1.0):
+            for fa in (1e-6, 0.5):
+                a, sigma = fa * params.beta_u, fs * params.tau
+                ctx = PulseContext(params, a, sigma)
+                for iv in ctx.partition:
+                    onsets = iv.lo + (iv.hi - iv.lo) * np.arange(1, 5) / 5
+                    got = ctx.cycle_length(onsets, iv.code)
+                    bound = 1e-11 if iv.code in (CaseCode.RNRP, CaseCode.FNRP) else 1e-14
+                    want = _cycle_lengths_50(iv.code, onsets.tolist(), ctx.orbit, a, sigma)
+                    for d, T, w in zip(onsets.tolist(), got.tolist(), want):
+                        assert abs(T - w) <= bound * abs(w), (params, a, sigma, d, iv.code)
+                    seen.add(iv.code)
+    assert seen == set(CODES) - {CaseCode.FNFP}
 
 
 def test_onset_on_a_zero_agrees_with_the_50_digit_formula():
