@@ -52,10 +52,6 @@ class ExpArc:
     def end_value(self) -> float:
         return self.value(self.t_end)
 
-    @property
-    def rising(self) -> bool:
-        return self.k < 0
-
     def crossing(self, level: float = 0.0) -> Optional[float]:
         """Time where the arc crosses ``level`` more than a tie inside its span,
         else None: a crossing within a tie of an end belongs to the junction
@@ -102,15 +98,6 @@ def chain_values(chain: np.ndarray, times: np.ndarray) -> np.ndarray:
     x *= k[idx]
     x += c[idx]
     return x
-
-
-def _branch_after(value: float, slope: float, thresholds: tuple[float, ...]) -> int:
-    """Branch index of (value moving with slope) just after the evaluation time."""
-    b = 0
-    for i, th in enumerate(thresholds):
-        if value > th or (value == th and slope >= 0):
-            b = i + 1
-    return b
 
 
 #: bisection key of an arc chain: arcs are ordered by their end times
@@ -188,35 +175,48 @@ class History(_ArcChain):
     def values(self, times: np.ndarray) -> np.ndarray:
         return chain_values(self.chain, times)
 
-    def initial_branch(self, thresholds: tuple[float, ...]) -> int:
-        first = self.arcs[0]
-        return _branch_after(first.start_value, -first.k, thresholds)
+    def walk(self, thresholds: tuple[float, ...]
+             ) -> tuple[int, list[tuple[float, int]], list[bool], list[int]]:
+        """Book the history's crossings by _evolve's per-arc rule, sides set by
+        x(-tau), a value on a threshold above. Returns the branch at -tau (set
+        by crossings within a tie of -tau), the (time, branch_after) markers in
+        (-tau, 0), the side of each threshold at t = 0 (True: above) and the
+        thresholds pending there, crossed within a tie of the history's end."""
+        t_first = self.arcs[0].t_start + _tie(self.arcs[0].t_start)
+        above = [self.arcs[0].start_value >= th for th in thresholds]
+        branch, markers, pending = sum(above), [], []
+        for arc in self.arcs:
+            ended_on, pending = pending, []
+            if arc.k == 0.0:
+                continue
+            falling = arc.k > 0
+            tie_end = _tie(arc.t_end)
+            for i in range(len(thresholds))[::-1 if falling else 1]:
+                th = thresholds[i]
+                if above[i] != falling or arc.c == th:
+                    continue
+                if i in ended_on:
+                    s = arc.t_start
+                else:
+                    r = -arc.k / (arc.c - th)
+                    if r <= 0.0:
+                        continue
+                    s = max(arc.t_start + math.log(r), arc.t_start)
+                    if s > arc.t_end + tie_end:
+                        continue
+                    if s >= arc.t_end - tie_end:
+                        pending.append(i)
+                        continue
+                above[i] = not falling
+                if s <= t_first:
+                    branch = i if falling else i + 1
+                else:
+                    markers.append((s, i if falling else i + 1))
+        return branch, markers, above, pending
 
     def branch_markers(self, thresholds: tuple[float, ...] = (0.0,)) -> list[tuple[float, int]]:
-        """Threshold crossings in (-tau, 0) as (time, branch_after) markers.
-
-        Touching a threshold without crossing produces no marker, so no
-        spurious feedback switch gets scheduled from it. A marker at an exact
-        arc breakpoint carries the branch the *next* arc moves into. The
-        boundary t = 0 is excluded: whether the state crosses there is decided
-        by the solution, not the history.
-        """
-        out: list[tuple[float, int]] = []
-        b = self.initial_branch(thresholds)
-        for j, arc in enumerate(self.arcs):
-            cuts = sorted((t, i) for i, th in enumerate(thresholds)
-                          if (t := arc.crossing(th)) is not None)
-            for t, i in cuts:
-                # a monotone arc crosses upward iff it is rising
-                b = i + 1 if arc.rising else i
-                out.append((t, b))
-            if j + 1 < len(self.arcs):
-                nxt = self.arcs[j + 1]
-                nb = _branch_after(arc.end_value, -nxt.k, thresholds)
-                if nb != b:
-                    b = nb
-                    out.append((arc.t_end, b))
-        return out
+        """The markers of ``walk``."""
+        return self.walk(thresholds)[1]
 
     def zeros(self) -> list[float]:
         """All zeros of the history in (-tau, 0], crossings and touches alike."""

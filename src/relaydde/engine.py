@@ -46,10 +46,6 @@ class FeedbackTable:
         if not all(map(math.isfinite, (*self.thresholds, *self.levels))):
             raise ValidationError("feedback_finite", "thresholds and levels must be finite")
 
-    @staticmethod
-    def two_level(params: ModelParams) -> "FeedbackTable":
-        return FeedbackTable((0.0,), (params.beta_l, -params.beta_u))
-
 
 @dataclass(frozen=True)
 class PulseWindow:
@@ -177,31 +173,24 @@ class _RunStart(NamedTuple):
     thresholds: tuple[float, ...]
     levels: tuple[float, ...]
     branch: int                                 # feedback branch at t = 0
-    markers: tuple[tuple[float, int], ...]      # history.branch_markers(thresholds)
+    markers: tuple[tuple[float, int], ...]      # history.walk's markers
     switches: tuple[tuple[float, int, int], ...]   # the markers' switch events
     x: float                                    # x(0)
     above: tuple[bool, ...]                     # the side of each threshold at t = 0
-    pending: tuple[int, ...]                    # thresholds x(0) sits on
+    pending: tuple[int, ...]                    # thresholds pending at t = 0
 
 
 def _run_start(params: ModelParams, history: History,
                feedback: Optional[FeedbackTable]) -> _RunStart:
-    """The start of a run from ``history``; the two-level table by default."""
-    fb = feedback if feedback is not None else FeedbackTable.two_level(params)
-    thresholds = fb.thresholds
-    markers = tuple(history.branch_markers(thresholds))
-    x = history.value(0.0)
-    # the side of each threshold the solution is on; a value on a threshold
-    # takes the side the history's last arc comes from, and its crossing is
-    # pending: the first arc books it at its start if it moves away from that side
-    # (tuples built from lists: every evolve() call builds a start, and
-    # tuple() of a generator is slower)
-    pending = tuple([i for i, th in enumerate(thresholds)
-                     if abs(x - th) <= 1e-12 * max(1.0, abs(x), abs(th))])
-    above = tuple([history.arcs[-1].k >= 0 if i in pending else x > th
-                   for i, th in enumerate(thresholds)])
-    return _RunStart(thresholds, fb.levels, history.initial_branch(thresholds), markers,
-                     tuple([(tm + params.tau, 1, b) for tm, b in markers]), x, above, pending)
+    """The start of a run from ``history``, whose walk books crossings as
+    _evolve does; the two-level table by default."""
+    thresholds, levels = (((0.0,), (params.beta_l, -params.beta_u)) if feedback is None
+                          else (feedback.thresholds, feedback.levels))
+    branch, markers, above, pending = history.walk(thresholds)
+    # tuple([...]): every evolve() call builds a start, and tuple() of a generator is slower
+    return _RunStart(thresholds, levels, branch, tuple(markers),
+                     tuple([(tm + params.tau, 1, b) for tm, b in markers]),
+                     history.value(0.0), tuple(above), tuple(pending))
 
 
 #: called after each emitted arc with that arc and the zeros booked so far,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import sub
@@ -157,6 +158,12 @@ def _j_delta(orb: PeriodicOrbit, delta):
     return 0 + (delta >= orb.z1) + (delta >= orb.z2)   # 0 + makes bool arrays add as ints
 
 
+def _log_ratio(num: float, den: float) -> float:
+    """log(num/den); the logs apart where the quotient leaves the normal doubles."""
+    q = num / den
+    return math.log(q) if sys.float_info.min <= q < math.inf else math.log(num) - math.log(den)
+
+
 class PulseContext:
     """Orbit, onset thresholds and case partition of one (params, a, sigma), computed once.
 
@@ -172,9 +179,9 @@ class PulseContext:
         self.orbit = orb = periodic_solution(params)
         bl, bu, tau = params.beta_l, params.beta_u, params.tau
         gain = a * -math.expm1(-sigma)            # a(1 - e^-sigma)
-        d1 = orb.z1 - sigma - math.log((bl + gain) / bl)
+        d1 = orb.z1 - sigma - _log_ratio(bl + gain, bl)
         # a(1 - e^-sigma) underflows to 0 only for a*sigma below the double range
-        d1_hat = orb.z1 - sigma + math.log(bl / gain) if gain else math.inf
+        d1_hat = orb.z1 - sigma + _log_ratio(bl, gain) if gain else math.inf
         if gain < bu:
             d2 = orb.z2 - sigma + math.log(bu / (bu - gain))
             if a < bu and not d2 < orb.z2:         # delta2 < z2 exactly when a < beta_U

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .arcs import History
 from .engine import PulseWindow, Trajectory, evolve
-from .exceptions import DomainError, PlanInfeasible
+from .exceptions import DomainError, PlanInfeasible, ValidationError
 from .orbit import periodic_solution
 from .params import ModelParams
 
@@ -117,7 +117,10 @@ def plan(inp: TherapyInput) -> TherapyPlan:
     z1, t_d = _t_d(p.beta_u, inp.phi0, inp.x_d)
     t_m = t_d - p.tau - inp.sigma
     gain = -math.expm1(-inp.sigma)          # 1 - e^-sigma
-    dose = (inp.x_d - orb.x_min) * math.exp(p.tau) * (inp.x_d + p.beta_u)
+    try:
+        dose = (inp.x_d - orb.x_min) * math.exp(p.tau) * (inp.x_d + p.beta_u)
+    except OverflowError:   # tau > log(DBL_MAX) = 709.78: no plan is feasible in doubles
+        raise ValidationError("tau_closed_form", f"e^tau overflows at tau = {p.tau}") from None
     a_d = dose / (p.beta_u * gain)
     checks = TherapyChecks(
         t_m_positive=t_m > 0,

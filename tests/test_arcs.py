@@ -142,6 +142,21 @@ def test_history_branch_markers_sign_change():
     assert branch == 1   # moved upward across 0
 
 
+def test_history_walk_books_by_the_engine_rule():
+    # a fall onto 0 at t = 0 is pending there, its side still above
+    hist = History((ExpArc(-1.0, 0.0, -1.0, math.e),))
+    assert hist.walk((0.0,)) == (1, [], [True], [0])
+    # starting on 0 and falling: the crossing at -tau only sets the branch
+    hist = History((ExpArc(-1.0, 0.0, -1.0, 1.0),))
+    assert hist.walk((0.0,)) == (0, [], [False], [])
+    # three levels: a fall across both thresholds books the upper one first,
+    # each into the branch below it
+    hist = History((ExpArc(-1.0, 0.0, -1.0, 2.5),))
+    branch, markers, above, pending = hist.walk((0.0, 1.0))
+    assert branch == 2 and [b for _, b in markers] == [1, 0]
+    assert markers[0][0] < markers[1][0] and above == [False, False] and pending == []
+
+
 @pytest.mark.parametrize("c,k", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan),
                                  (0.5, -math.inf)])
 def test_history_rejects_non_finite_arcs(c, k):

@@ -180,7 +180,10 @@ def test_typed_errors_at_the_ends_of_the_domain(capsys):
                          (("sweep", *model, "--sigma", "720", "--grid", "16"),
                           "sigma_closed_form"),
                          (("simulate", "--preset", "p1", "--horizon", "1e-14"), "horizon_tie"),
-                         (("classify", *tiny), "horizon_tie")):
+                         (("classify", *tiny), "horizon_tie"),
+                         # e^tau overflows the dose: no plan is feasible in doubles
+                         (("therapy", *model[:6], "--sigma", "0.05", "--x-d", "-0.45"),
+                          "tau_closed_form")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith(f"error: {clause}:") and err.count("\n") == 1, err
@@ -188,6 +191,12 @@ def test_typed_errors_at_the_ends_of_the_domain(capsys):
     code, out, _ = run_cli(capsys, "classify", *model, "--sigma", "750", "--delta", "1.0",
                            "--relaxed")
     assert code == 0 and math.isfinite(json.loads(out)["T"])
+    # beta_L/gain underflows and (beta_L + gain)/beta_L overflows: the logs apart
+    code, out, _ = run_cli(capsys, "classify", "--tau", "1", "--beta-l", "1e-300",
+                           "--beta-u", "0.8", "--amp", "1e300", "--sigma", "0.4",
+                           "--delta", "0.1", "--relaxed")
+    thresholds = json.loads(out)["thresholds"]
+    assert code == 0 and all(math.isfinite(thresholds[k]) for k in ("delta1", "delta1_hat"))
 
 
 def test_missing_params_exit_code(capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from relaydde import (ExpArc, History, ModelParams, ValidationError,
+from relaydde import (ExpArc, History, ModelParams, ValidationError, compare,
                       equilibrium, evolve, integrate_dense)
 
 from _chains import chains_equal
@@ -347,3 +347,85 @@ def test_arc_chains_keep_no_derived_tables(p1, orb1):
     orb1.value(7.0), orb1.sample(np.linspace(0.0, 20.0, 50))
     for obj in (traj, hist, orb1):
         assert vars(obj).keys() == {f.name for f in fields(obj)}, type(obj)
+
+
+def _restart_deviation(params, traj, s, feedback=None, pulse=None):
+    """Largest |x - y| on (s, horizon], where y is the run restarted at s from
+    the state traj.segment_at(s), with the rest of ``pulse`` shifted along."""
+    from relaydde.engine import PulseWindow
+    rest = None
+    if pulse is not None and pulse.t_off > s:
+        rest = PulseWindow(pulse.a, pulse.t_on - s, pulse.t_off - s)
+    again = evolve(params, traj.segment_at(s), traj.horizon - s, rest, feedback)
+    ts = np.linspace(s, traj.horizon, 301)[1:]
+    return float(np.max(np.abs(traj.sample(ts) - again.sample(ts - s))))
+
+
+@pytest.mark.parametrize("beta_l,zero", [(0.4, 3.9028125084985614),
+                                         (0.4, 5.720052163900639),
+                                         (0.4, 6.994694800780794),
+                                         (1.4, 8.225837274997817)])
+def test_a_restart_a_delay_after_a_zero_continues_the_run(beta_l, zero):
+    # the state x_{z + tau} starts within 1e-15 of 0, on a crossing its walk
+    # books at -tau; a starting branch taken from the sign of x(-tau) alone
+    # once put the restart a whole delay off
+    params = ModelParams(1.0, beta_l, 0.8)
+    traj = evolve(params, History.constant(1.0, 1.0), 20.0)
+    assert min(abs(z.t - zero) for z in traj.zeros) < 1e-9
+    assert abs(traj.segment_at(zero + 1.0).arcs[0].start_value) < 1e-15
+    assert _restart_deviation(params, traj, zero + 1.0) <= 1e-12
+
+
+def test_restarts_at_zeros_continue_the_run_on_log_uniform_sets():
+    # a state taken at a zero, or a delay after one, is an admissible history
+    # whose walk books its crossings as the run did
+    from relaydde import periodic_solution
+    rng = np.random.default_rng(30)
+    lo, hi = np.log([1e-3, 1e-4, 1e-4]), np.log([50.0, 100.0, 100.0])
+    for _ in range(40):
+        params = ModelParams(*np.exp(rng.uniform(lo, hi)).tolist())
+        period = periodic_solution(params).period
+        traj = evolve(params, History.constant(1.0, params.tau), 3 * period + 3 * params.tau)
+        scale = max(1.0, params.beta_l, params.beta_u)
+        for z in traj.zeros[:2]:
+            for s in (z.t, z.t + params.tau):
+                assert _restart_deviation(params, traj, s) <= 1e-10 * scale, (params, s)
+
+
+def test_three_level_restarts_at_every_crossing_continue_the_run():
+    from relaydde import ThreeLevelParams, simulate_pulse
+    from relaydde.engine import PulseWindow
+    from conftest import random_oscillatory
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        base = random_oscillatory(rng)
+        p = ThreeLevelParams(base, float(rng.uniform(1.1, 4.0)) * base.beta_u)
+        a = float(rng.uniform(0.05, 2.0)) * base.beta_l
+        traj, orb = simulate_pulse(p, a)
+        pulse = PulseWindow(a, orb.z1, orb.z1 + base.tau)     # simulate_pulse's window
+        scale = max(1.0, base.beta_l, p.beta_star)
+        for s, _, _ in traj.crossings:
+            if s < traj.horizon - 0.1:
+                dev = _restart_deviation(base, traj, s, p.feedback(), pulse)
+                assert dev <= 1e-10 * scale, (p, s)
+
+
+def _junction(c: float, k: float, c2: float) -> History:
+    """Two arcs meeting at t = -0.5, the second with asymptote c2."""
+    first = ExpArc(-1.0, -0.5, c, k)
+    return History((first, ExpArc(-0.5, 0.0, c2, first.end_value - c2)))
+
+
+@pytest.mark.parametrize("hist", [
+    # a sign change 1e-14 after an arc junction
+    _junction(-1.0, (1 + 1e-14) * math.exp(0.5), -1.0),
+    # a dip 1e-14 below 0 at a junction, grazing: nothing to book
+    _junction(-1.0, (1 - 1e-14) * math.exp(0.5), 1.0),
+    # a history starting 1e-16 above 0 and falling
+    History((ExpArc(-1.0, 0.0, -0.5, math.nextafter(0.5, 1.0)),)),
+], ids=["sign-change-after-junction", "dip-at-junction", "starts-above-0-falling"])
+def test_histories_booked_at_a_tie_agree_with_the_oracle(p1, hist):
+    traj = evolve(p1, hist, 9.0)
+    rep = compare(traj, integrate_dense(p1, hist.value, 9.0, h=1e-4))
+    assert rep.max_abs_dev <= 1e-6
+    assert rep.zero_counts_match

@@ -14,7 +14,11 @@ Digested, each on its own line:
   ``PulseContext.response`` on 512 onsets, and every case's
   ``cycle_length`` at those onsets and at T, or its error message; at
   a in {1, 2} beta_U, ``cycle_length`` alone;
-- the simulated map's T, x_min and x_max on 10 of those sets x 128 onsets.
+- the simulated map's T, x_min and x_max on 10 of those sets x 128 onsets;
+- ``History.walk`` of 2,000 random 1-3-arc histories under a two-level and
+  a three-level table, 30 % of them with an arc start or end aimed within
+  a few ulps of a threshold, and the runs restarted from a trajectory's
+  state at its zeros, a delay after them and at its three-level crossings.
 
 The script imports ``relaydde`` from the ``src`` directory next to it.
 """
@@ -22,6 +26,7 @@ The script imports ``relaydde`` from the ``src`` directory next to it.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -32,7 +37,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from relaydde import ModelParams, RelayDDEError   # noqa: E402
+from relaydde import (ExpArc, History, ModelParams, RelayDDEError,   # noqa: E402
+                      ThreeLevelParams, evolve, periodic_solution, simulate_pulse)
 from relaydde.pulse import CODES, PulseContext   # noqa: E402
 from relaydde.sweep import cycle_length_map   # noqa: E402
 
@@ -105,12 +111,62 @@ def simulated_map_digest() -> str:
     return h.hexdigest()
 
 
+def _random_history(rng, thresholds: tuple[float, ...]) -> History:
+    """1-3 arcs over [-tau, 0]; with probability 0.3 one arc start or end
+    sits on a threshold plus an offset of 0, 1e-16, 1e-15 or 1e-14 of either sign."""
+    tau = float(rng.uniform(0.1, 5.0))
+    cuts = [-tau, *sorted(rng.uniform(-tau, 0.0, rng.integers(0, 3)).tolist()), 0.0]
+    aim = int(rng.integers(0, len(cuts))) if rng.random() < 0.3 else -1
+    target = (float(rng.choice(thresholds))
+              + float(rng.choice([0.0, 1e-16, 1e-15, 1e-14])) * float(rng.choice([-1.0, 1.0])))
+    v = target if aim == 0 else float(rng.uniform(-2.0, 2.0))
+    arcs = []
+    for j, (t0, t1) in enumerate(zip(cuts, cuts[1:]), start=1):
+        if j == aim:   # the asymptote that puts this arc's end on the target
+            e = math.exp(-(t1 - t0))
+            c = (target - v * e) / (1.0 - e)
+        else:
+            c = float(rng.uniform(-2.0, 2.0))
+        arcs.append(ExpArc(t0, t1, c, v - c))
+        v = arcs[-1].end_value
+    return History(tuple(arcs))
+
+
+def walk_digest() -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(2)
+    for _ in range(2000):
+        tables = ((0.0,), (0.0, float(rng.uniform(0.1, 1.5))))
+        hist = _random_history(rng, tables[1])
+        for thresholds in tables:
+            h.update(repr(hist.walk(thresholds)).encode())
+
+    def restart(params, traj, s, feedback=None):
+        again = evolve(params, traj.segment_at(s), traj.horizon - s, None, feedback)
+        h.update(repr((again.arcs, again.zeros, again.crossings)).encode())
+
+    sets = [ModelParams(1.0, 0.4, 0.8), ModelParams(1.0, 1.4, 0.8), *_log_uniform_sets(40)]
+    for params in sets:
+        orb = periodic_solution(params)
+        traj = evolve(params, History.constant(1.0, params.tau), 3 * (orb.period + params.tau))
+        for z in traj.zeros[:3]:
+            restart(params, traj, z.t)
+            restart(params, traj, z.t + params.tau)
+        p3 = ThreeLevelParams(params, 2 * params.beta_u)
+        traj, orb = simulate_pulse(p3, params.beta_l)
+        for s, _, _ in traj.crossings:
+            if orb.z1 + params.tau < s < traj.horizon - 1e-9:   # after the pulse
+                restart(params, traj, s, p3.feedback())
+    return h.hexdigest()
+
+
 def main() -> None:
     for command in CLI_COMMANDS:
         print(f"{cli_digest(command)}  cli {command}")
     with np.errstate(all="ignore"):   # log1p of values below -1 in off-case formulas
         print(f"{closed_form_digest()}  closed-form")
         print(f"{simulated_map_digest()}  simulated-map")
+    print(f"{walk_digest()}  walk-and-restarts")
 
 
 if __name__ == "__main__":
